@@ -35,11 +35,6 @@
 // >= 0.7x). A compression table records the v1-vs-v2 file sizes of the
 // sampled noiseless all-styles campaign (expect >= 3x total).
 //
-// An accumulation table times the block-factored distinguisher path
-// (dpa/block_stats.hpp) against the per-trace Welford update for
-// CPA/DoM/MultiCpa — traces/s both ways plus the speedup, advisory
-// stderr warning when the 8-bit CPA row lands under 4x (expect >= 5x).
-//
 // Usage: bench_trace_throughput [--threads N] [--traces N] [--round N]
 //                               [--lanes LIST] [--json PATH]
 #include <algorithm>
@@ -53,7 +48,6 @@
 
 #include "crypto/sboxes.hpp"
 #include "crypto/target.hpp"
-#include "dpa/streaming.hpp"
 #include "engine/trace_engine.hpp"
 #include "io/corpus.hpp"
 #include "switchsim/cycle_sim.hpp"
@@ -527,142 +521,6 @@ std::vector<RoundThroughput> measure_round_scaling(std::size_t max_round,
   return rows;
 }
 
-// Distinguisher accumulation: the block-factored sufficient-statistics
-// path (add_block: per-plaintext histogram + one contraction per block)
-// against the historic per-trace Welford update (add_batch / add), on
-// synthetic traces so nothing but the accumulator is on the clock.
-// Blocks are engine-shard-sized. One thread — accumulation is per-shard
-// sequential inside the engine; this isolates the per-trace cost the
-// factoring removes. Advisory only (the 8-bit CPA row is the acceptance
-// evidence: expect >= 5x, warn under 4x); the exit code stays pinned to
-// the >=10x engine gate.
-struct AccumulationRow {
-  const char* kind = nullptr;
-  std::size_t num_traces = 0;
-  double per_trace_tps = 0.0;
-  double block_tps = 0.0;
-  double speedup = 0.0;
-};
-
-// Repeats fn (one full pass over `count` traces through a fresh
-// accumulator) until the clock has something to measure.
-template <typename Fn>
-double accumulation_tps(std::size_t count, const Fn& fn) {
-  std::size_t reps = 1;
-  for (;;) {
-    const auto start = Clock::now();
-    for (std::size_t r = 0; r < reps; ++r) fn();
-    const double seconds = seconds_since(start);
-    if (seconds >= 0.2 || reps >= 256) {
-      return static_cast<double>(count) * static_cast<double>(reps) / seconds;
-    }
-    reps *= 4;
-  }
-}
-
-std::vector<AccumulationRow> measure_accumulation() {
-  // Block size = what the engine would actually shard this campaign
-  // into (the autotune rule — a pure function of the trace count), so
-  // the histogram/contraction amortization matches production blocks.
-  const auto shard_of = [](std::size_t count) {
-    CampaignOptions options;
-    options.num_traces = count;
-    return campaign_shard_size(options);
-  };
-  const auto make_traces = [](std::size_t count, std::size_t num_pts,
-                              std::size_t width,
-                              std::vector<std::uint8_t>* pts,
-                              std::vector<double>* rows) {
-    Rng rng(0xACC);
-    pts->resize(count);
-    rows->resize(count * width);
-    for (std::size_t i = 0; i < count; ++i) {
-      (*pts)[i] = static_cast<std::uint8_t>(rng.below(num_pts));
-      for (std::size_t l = 0; l < width; ++l) {
-        (*rows)[i * width + l] = 1e-13 + 1e-15 * rng.uniform();
-      }
-    }
-  };
-  const auto blocked = [&shard_of](std::size_t count, const auto& feed) {
-    const std::size_t block = shard_of(count);
-    for (std::size_t off = 0; off < count; off += block) {
-      feed(off, std::min(block, count - off));
-    }
-  };
-
-  std::vector<AccumulationRow> out;
-  std::vector<std::uint8_t> pts;
-  std::vector<double> samples;
-
-  const auto cpa_row = [&](const char* kind, const SboxSpec& spec,
-                           std::size_t num_pts, std::size_t count) {
-    make_traces(count, num_pts, 1, &pts, &samples);
-    AccumulationRow row;
-    row.kind = kind;
-    row.num_traces = count;
-    row.per_trace_tps = accumulation_tps(count, [&] {
-      StreamingCpa acc(spec, PowerModel::kHammingWeight);
-      acc.add_batch(pts.data(), samples.data(), count);
-    });
-    row.block_tps = accumulation_tps(count, [&] {
-      StreamingCpa acc(spec, PowerModel::kHammingWeight);
-      blocked(count, [&](std::size_t off, std::size_t n) {
-        acc.add_block(pts.data() + off, samples.data() + off, n);
-      });
-    });
-    row.speedup = row.block_tps / row.per_trace_tps;
-    out.push_back(row);
-  };
-  cpa_row("cpa_4bit", present_spec(), 16, 2000000);
-  cpa_row("cpa_8bit", aes_spec(), 256, 400000);
-
-  {
-    const std::size_t count = 2000000;
-    make_traces(count, 16, 1, &pts, &samples);
-    AccumulationRow row;
-    row.kind = "dom_4bit";
-    row.num_traces = count;
-    row.per_trace_tps = accumulation_tps(count, [&] {
-      StreamingDom acc(present_spec(), 0);
-      acc.add_batch(pts.data(), samples.data(), count);
-    });
-    row.block_tps = accumulation_tps(count, [&] {
-      StreamingDom acc(present_spec(), 0);
-      blocked(count, [&](std::size_t off, std::size_t n) {
-        acc.add_block(pts.data() + off, samples.data() + off, n);
-      });
-    });
-    row.speedup = row.block_tps / row.per_trace_tps;
-    out.push_back(row);
-  }
-
-  {
-    constexpr std::size_t kWidth = 8;
-    const std::size_t count = 250000;
-    make_traces(count, 16, kWidth, &pts, &samples);
-    AccumulationRow row;
-    row.kind = "multi_cpa_4bit_w8";
-    row.num_traces = count;
-    row.per_trace_tps = accumulation_tps(count, [&] {
-      StreamingMultiCpa acc(present_spec(), PowerModel::kHammingWeight,
-                            kWidth);
-      for (std::size_t i = 0; i < count; ++i) {
-        acc.add(pts[i], samples.data() + i * kWidth);
-      }
-    });
-    row.block_tps = accumulation_tps(count, [&] {
-      StreamingMultiCpa acc(present_spec(), PowerModel::kHammingWeight,
-                            kWidth);
-      blocked(count, [&](std::size_t off, std::size_t n) {
-        acc.add_block(pts.data() + off, samples.data() + off * kWidth, n);
-      });
-    });
-    row.speedup = row.block_tps / row.per_trace_tps;
-    out.push_back(row);
-  }
-  return out;
-}
-
 void write_json(const std::string& path, std::size_t num_traces,
                 std::size_t threads, const std::vector<Throughput>& rows,
                 const std::vector<LaneThroughput>& lane_rows,
@@ -671,9 +529,8 @@ void write_json(const std::string& path, std::size_t num_traces,
                 const std::vector<RoundThroughput>& round_rows,
                 const MultiAttackBench& multi, const ReplayBench& replay,
                 const std::vector<CompressionRow>& compression_rows,
-                std::size_t compression_traces,
-                const std::vector<AccumulationRow>& accumulation_rows,
-                std::size_t cpa_traces, double cpa_seconds) {
+                std::size_t compression_traces, std::size_t cpa_traces,
+                double cpa_seconds) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (!f) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
@@ -823,17 +680,6 @@ void write_json(const std::string& path, std::size_t num_traces,
                    ? static_cast<double>(v1_total) /
                          static_cast<double>(v2_total)
                    : 0.0);
-  std::fprintf(f, "  \"accumulation\": [\n");
-  for (std::size_t i = 0; i < accumulation_rows.size(); ++i) {
-    const AccumulationRow& r = accumulation_rows[i];
-    std::fprintf(f,
-                 "    {\"kind\": \"%s\", \"num_traces\": %zu, "
-                 "\"per_trace_tps\": %.1f, \"block_tps\": %.1f, "
-                 "\"speedup\": %.2f}%s\n",
-                 r.kind, r.num_traces, r.per_trace_tps, r.block_tps,
-                 r.speedup, i + 1 < accumulation_rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n");
   std::fprintf(f,
                "  \"streaming_cpa\": {\"num_traces\": %zu, \"seconds\": %.3f, "
                "\"tps\": %.1f}\n",
@@ -1085,26 +931,6 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(v2_total), total_ratio,
               total_ratio >= 3.0 ? "yes" : "NO");
 
-  // Distinguisher accumulation: block-factored vs per-trace, one thread
-  // (advisory; the 8-bit CPA speedup is the acceptance evidence).
-  const std::vector<AccumulationRow> accumulation_rows =
-      measure_accumulation();
-  std::printf(
-      "\ndistinguisher accumulation (block-factored vs per-trace, 1 "
-      "thread):\n%-20s %10s %17s %14s %8s\n",
-      "kind", "traces", "per-trace [tr/s]", "block [tr/s]", "speedup");
-  for (const AccumulationRow& r : accumulation_rows) {
-    std::printf("%-20s %10zu %17.0f %14.0f %7.1fx\n", r.kind, r.num_traces,
-                r.per_trace_tps, r.block_tps, r.speedup);
-    if (std::strcmp(r.kind, "cpa_8bit") == 0 && r.speedup < 4.0) {
-      std::fprintf(stderr,
-                   "ADVISORY: block-factored 8-bit CPA accumulation only "
-                   "%.2fx over per-trace (expect >= 5x, warn < 4x) — the "
-                   "contraction kernels are not earning the factoring\n",
-                   r.speedup);
-    }
-  }
-
   // End-to-end: streaming one-pass CPA at MTD scale, nothing retained,
   // sharded over all requested threads.
   const std::size_t cpa_traces = 1000000;
@@ -1133,7 +959,7 @@ int main(int argc, char** argv) {
 
   write_json(json_path, num_traces, threads, rows, lane_rows, pack_rows,
              sweep_rows, round_rows, multi, replay, compression_rows,
-             compression_traces, accumulation_rows, cpa_traces, cpa_seconds);
+             compression_traces, cpa_traces, cpa_seconds);
   std::printf("wrote %s\n", json_path.c_str());
   return all_pass ? 0 : 1;
 }

@@ -11,7 +11,10 @@ namespace sable {
 
 namespace {
 
-constexpr std::uint32_t kMtdShardTag = 0x53AB1006;
+// 0x53AB1006 was the per-trace (add_batch) MTD shard layout; its
+// snapshots were rounded differently, so resuming from one is rejected
+// rather than mixing the two formulations in one fold.
+constexpr std::uint32_t kMtdShardTag = 0x53AB1007;
 
 // Shard states of one distinguisher are homogeneous by construction (the
 // engine never mixes them), so the downcast cannot fail in a correct
@@ -132,12 +135,18 @@ class SecondOrderShardAccumulator final : public ShardAccumulator {
 };
 
 // MTD shard state: the shard's full accumulator plus a partial snapshot at
-// every checkpoint falling inside the shard's trace range. The ordered
-// left fold replays ShardedMtd's checkpoint/append sequence: settle()
-// turns the fold root (canonically the first shard) into a driver, each
-// merge() feeds it the next raw shard — the exact call sequence the
-// engine's bespoke MTD loop used to make, so MTD curves stay
-// bit-identical.
+// every checkpoint falling inside the shard's trace range. accumulate()
+// runs one block-factored add_block per sub-block, splitting the shard
+// block at those checkpoints — the sub-block boundaries are a function of
+// the shard layout and the checkpoint ladder alone, so every snapshot is
+// bit-identical across threads, lane widths, dispatch tiers, resume and
+// merge.
+//
+// The ordered left fold settles the root (canonically the first shard):
+// its own snapshots are ranked directly (no prior prefix), and acc_
+// becomes the merged prefix. Each merge() then ranks the next raw shard's
+// snapshots against merge(prefix, snapshot) and appends the shard's full
+// accumulator to the prefix.
 class MtdShardAccumulator final : public ShardAccumulator {
  public:
   MtdShardAccumulator(StreamingCpa acc,
@@ -147,36 +156,37 @@ class MtdShardAccumulator final : public ShardAccumulator {
         ladder_(std::move(ladder)),
         correct_key_(correct_key) {}
 
-  // Deliberately stays on the per-trace add_batch path: the checkpoint
-  // ladder splits blocks at arbitrary trace counts, and the snapshots
-  // must be bit-identical to the sequential prefix driver (a block-
-  // factored prefix would round differently at every split).
   void accumulate(const ShardBlock& block) override {
     require_scalar(block);
-    SABLE_ASSERT(!driver_, "cannot accumulate into a settled MTD fold root");
+    SABLE_ASSERT(!settled_, "cannot accumulate into a settled MTD fold root");
     const std::vector<std::size_t>& ladder = *ladder_;
     std::size_t done = 0;
     for (auto it =
              std::upper_bound(ladder.begin(), ladder.end(), block.start);
          it != ladder.end() && *it <= block.start + block.count; ++it) {
       const std::size_t upto = *it - block.start;
-      acc_.add_batch(block.sub_pts + done, block.data + done, upto - done);
+      acc_.add_block(block.sub_pts + done, block.data + done, upto - done);
       done = upto;
       snapshots_.emplace_back(*it, acc_);
     }
-    acc_.add_batch(block.sub_pts + done, block.data + done,
+    acc_.add_block(block.sub_pts + done, block.data + done,
                    block.count - done);
   }
 
   void merge(ShardAccumulator& other) override {
     settle();
     MtdShardAccumulator& peer = cast_peer<MtdShardAccumulator>(other);
-    SABLE_ASSERT(!peer.driver_,
+    SABLE_ASSERT(!peer.settled_,
                  "ordered MTD fold operands must be raw shard states");
     for (const auto& [count, snapshot] : peer.snapshots_) {
-      driver_->checkpoint(count, snapshot);
+      StreamingCpa prefix = acc_;
+      prefix.merge(snapshot);
+      SABLE_ASSERT(prefix.count() == count,
+                   "MTD checkpoint must equal the merged prefix trace count");
+      rank_history_.emplace_back(count,
+                                 prefix.result().rank_of(correct_key_));
     }
-    driver_->append(peer.acc_);
+    acc_.merge(peer.acc_);
   }
 
   // Persistence covers RAW shard states only (the engine checkpoints
@@ -185,7 +195,7 @@ class MtdShardAccumulator final : public ShardAccumulator {
   // reconstituted as copies of acc_ (same spec-derived configuration)
   // overwritten with the stored moments.
   void save(ByteWriter& writer) const override {
-    SABLE_ASSERT(!driver_, "cannot serialize a settled MTD fold root");
+    SABLE_ASSERT(!settled_, "cannot serialize a settled MTD fold root");
     writer.u32(kMtdShardTag);
     acc_.save(writer);
     writer.u64(snapshots_.size());
@@ -195,9 +205,10 @@ class MtdShardAccumulator final : public ShardAccumulator {
     }
   }
   void load(ByteReader& reader) override {
-    SABLE_ASSERT(!driver_, "cannot load into a settled MTD fold root");
+    SABLE_ASSERT(!settled_, "cannot load into a settled MTD fold root");
     SABLE_REQUIRE(reader.u32() == kMtdShardTag,
-                  "serialized state is not an MTD shard accumulator");
+                  "serialized state is not a block-factored MTD shard "
+                  "accumulator");
     acc_.load(reader);
     const std::uint64_t entries = reader.checked_count(16);
     snapshots_.clear();
@@ -211,25 +222,28 @@ class MtdShardAccumulator final : public ShardAccumulator {
 
   MtdResult settle_and_result() {
     settle();
-    return driver_->result();
+    return mtd_from_history(rank_history_);
   }
 
  private:
   void settle() {
-    if (driver_) return;
-    driver_.emplace(correct_key_);
+    if (settled_) return;
+    settled_ = true;
     for (const auto& [count, snapshot] : snapshots_) {
-      driver_->checkpoint(count, snapshot);
+      rank_history_.emplace_back(count,
+                                 snapshot.result().rank_of(correct_key_));
     }
-    driver_->append(acc_);
     snapshots_.clear();
   }
 
+  // A raw shard state: the shard's accumulator. Once settled as the fold
+  // root: the merged prefix of every shard folded so far.
   StreamingCpa acc_;
   std::shared_ptr<const std::vector<std::size_t>> ladder_;
   std::size_t correct_key_;
   std::vector<std::pair<std::size_t, StreamingCpa>> snapshots_;
-  std::optional<ShardedMtd> driver_;  // set once this state becomes the root
+  bool settled_ = false;
+  std::vector<std::pair<std::size_t, std::size_t>> rank_history_;
 };
 
 template <typename Result>

@@ -214,11 +214,13 @@ class SecondOrderCpaDistinguisher final : public Distinguisher {
 };
 
 /// The measurements-to-disclosure experiment as an ordered distinguisher:
-/// shard accumulators snapshot the in-shard checkpoints, the left fold
-/// replays ShardedMtd's checkpoint/append sequence in canonical order, so
-/// the MTD curve is bit-identical to the sequential StreamingMtd driver.
-/// The checkpoint ladder is canonicalized at construction: sorted, unique,
-/// restricted to [2, num_traces].
+/// shard accumulators run block-factored CPA over sub-blocks split at the
+/// in-shard checkpoints and snapshot each one, and the left fold ranks
+/// every checkpoint from merge(prior shards, snapshot) in canonical order.
+/// Sub-block boundaries depend only on the shard layout and the ladder,
+/// so the MTD curve is bit-identical across threads, lane widths, tiers,
+/// resume and merge. The checkpoint ladder is canonicalized at
+/// construction: sorted, unique, restricted to [2, num_traces].
 class MtdDistinguisher final : public Distinguisher {
  public:
   MtdDistinguisher(const SboxSpec& spec, const AttackSelector& selector,

@@ -7,33 +7,37 @@
 // and can be snapshotted at any point, which is exactly what an
 // incremental measurements-to-disclosure driver needs.
 //
-// Numerics: Welford-style online means and co-moments (not raw-moment
-// sums), so the scores agree with the two-pass Pearson formulation to
-// ~1e-14 even though trace energies sit at ~1e-13 J with ~1e-15 J of
-// data-dependent variation.
+// One consumption path: add_block() (dpa/block_stats.hpp) — per-plaintext
+// sufficient statistics in one O(count) pass, one dense contraction per
+// block, then a pairwise fold of the block's moments into the running
+// state. The engine's shard pipeline feeds add_block once per shard (MTD
+// once per sub-block between checkpoints), and the resident-trace entry
+// points (cpa_attack, dom_attack, cpa_attack_multisample) are one
+// add_block call over the whole trace set.
 //
-// Two consumption paths: add()/add_batch() is the per-trace Welford
-// update (O(num_guesses) per trace), add_block() the block-factored path
-// (dpa/block_stats.hpp) — per-plaintext sufficient statistics in one
-// O(count) pass, one dense contraction per block, then a pairwise fold.
-// The engine's shard pipeline feeds add_block once per shard; the two
-// paths agree to ~1e-13.
+// Numerics: samples are accumulated relative to a shift (the block's
+// first sample) and folded as Welford-form moments (not raw-moment sums),
+// so the scores agree with the two-pass Pearson formulation to ~1e-13
+// even though trace energies sit at ~1e-13 J with ~1e-15 J of
+// data-dependent variation. A constant trace stream therefore scores
+// exactly zero in every distinguisher: every shifted sample is an exact
+// 0.0.
 //
 // Every accumulator is copyable (copies share the immutable prediction
 // table) and mergeable: merge() folds another accumulator over a disjoint
 // trace subset into this one in O(guesses), the primitive under the
 // thread-sharded TraceEngine. Merging in a fixed order is deterministic,
-// so sharded campaigns are bit-identical for any thread count.
+// so sharded campaigns are bit-identical for any thread count. The block
+// kernels' working set is per thread, never part of an accumulator.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <vector>
 
+#include "crypto/leakage.hpp"
 #include "crypto/sboxes.hpp"
 #include "dpa/attack.hpp"
-#include "dpa/block_stats.hpp"
-#include "dpa/hypothesis.hpp"
 #include "power/stats.hpp"
 
 namespace sable {
@@ -57,20 +61,12 @@ class StreamingCpa {
  public:
   StreamingCpa(const SboxSpec& spec, PowerModel model, std::size_t bit = 0);
 
-  /// Per-trace compat shims: the historic O(num_guesses)-per-trace
-  /// Welford path, kept for incremental feeds (the MTD checkpoint ladder
-  /// splits blocks at arbitrary trace counts) and as the reference the
-  /// block path is benchmarked against.
-  void add(std::uint8_t pt, double sample);
-  void add_batch(const std::uint8_t* pts, const double* samples,
-                 std::size_t count);
-
   /// Block-factored hot path (dpa/block_stats.hpp): one O(count)
   /// histogram pass with no guess loop, one G×P contraction against the
   /// prediction table, then a pairwise fold of the block's moments into
   /// the running state. The plaintext range check is hoisted to once per
-  /// block. Scores agree with feeding the same traces through add() to
-  /// ~1e-13 and are bit-identical across dispatch tiers; one add_block
+  /// block. Scores agree with the two-pass Pearson formulation to ~1e-13
+  /// and are bit-identical across dispatch tiers; one add_block
   /// call per engine shard makes sharded campaigns bit-identical across
   /// thread counts and lane widths.
   void add_block(const std::uint8_t* pts, const double* samples,
@@ -111,51 +107,58 @@ class StreamingCpa {
       predictions_;  // [pt * num_guesses_ + guess]
   OnlineMoments t_;  // shared sample-stream moments
   // Per-guess prediction moments and co-moments, kept as flat arrays (not
-  // one OnlineMoments per guess) so the per-trace guess loop stays tight.
+  // one OnlineMoments per guess) so the fold's guess loop stays tight.
   std::vector<double> mean_h_;
   std::vector<double> m2_h_;
   std::vector<double> c_ht_;
-  BlockScratch scratch_;  // add_block working set; not logical state
 };
 
 /// One-pass difference-of-means DPA on one predicted output bit. The
-/// partition sums are accumulated in trace order, so the result is
-/// bit-identical to the all-traces-resident formulation.
+/// partition sums are stored relative to a shift (the first sample the
+/// accumulator saw), the way CPA shifts its moments: the mean difference
+/// is shift-invariant, and a constant trace stream leaves every partition
+/// sum an exact 0.0, so it scores exactly zero.
 class StreamingDom {
  public:
   StreamingDom(const SboxSpec& spec, std::size_t bit = 0);
 
-  void add(std::uint8_t pt, double sample);
-  void add_batch(const std::uint8_t* pts, const double* samples,
-                 std::size_t count);
-
-  /// Block-factored hot path: per-plaintext counts/sums in one pass with
-  /// no guess loop, then one partitioned contraction against the
-  /// predicted-bit table. Counts are exact; the partition sums differ
-  /// from trace-order add() only in addition order (~1e-15 relative).
+  /// Block-factored hot path: per-plaintext counts/sums (shifted by the
+  /// block's first sample) in one pass with no guess loop, then one
+  /// partitioned contraction against the predicted-bit table, folded in
+  /// through the same rebasing step merge() uses. Counts are exact.
   void add_block(const std::uint8_t* pts, const double* samples,
                  std::size_t count);
 
-  /// Folds `other` (disjoint traces, same spec/bit) into this one: the
-  /// partition sums and counts add exactly.
+  /// Folds `other` (disjoint traces, same spec/bit) into this one: counts
+  /// add exactly; partition sums add after rebasing `other`'s onto this
+  /// accumulator's shift (cnt × Δshift).
   void merge(const StreamingDom& other);
 
   std::size_t count() const { return n_; }
   AttackResult result() const;
 
+  /// Saves under the shifted-layout tag; load() also accepts the older
+  /// unshifted layout (raw sums are sums relative to a shift of 0).
   void save(ByteWriter& writer) const;
   void load(ByteReader& reader);
 
  private:
+  // The shared combination step: folds one trace subset's partition state
+  // (a block's contraction, or another accumulator — merge() routes
+  // through this) into the running state.
+  void fold_partitions(std::size_t count, double shift, const double* sum0,
+                       const double* sum1, const std::uint64_t* cnt0,
+                       const std::uint64_t* cnt1);
+
   std::size_t num_guesses_;
   std::size_t num_plaintexts_;
   std::size_t bit_;
   std::shared_ptr<const std::vector<std::uint8_t>>
       predicted_bit_;  // [pt * num_guesses_ + guess]
   std::size_t n_ = 0;
+  double shift_ = 0.0;  // partition sums are Σ (sample − shift_)
   std::vector<double> sum_[2];
-  std::vector<std::size_t> cnt_[2];
-  BlockScratch scratch_;  // add_block working set; not logical state
+  std::vector<std::uint64_t> cnt_[2];
 };
 
 /// One-pass time-resolved CPA: one correlation accumulator per sample
@@ -165,8 +168,6 @@ class StreamingMultiCpa {
  public:
   StreamingMultiCpa(const SboxSpec& spec, PowerModel model, std::size_t width,
                     std::size_t bit = 0);
-
-  void add(std::uint8_t pt, const double* row);
 
   /// Block-factored hot path over `count` rows of `width()` samples: one
   /// histogram pass building per-plaintext per-level column sums, a
@@ -209,8 +210,6 @@ class StreamingMultiCpa {
   std::vector<double> m2_h_;
   std::vector<OnlineMoments> t_;     // per column
   std::vector<double> c_ht_;         // [column * num_guesses_ + guess]
-  std::vector<double> dt_;           // per-column scratch
-  BlockScratch scratch_;             // add_block working set
 };
 
 }  // namespace sable

@@ -320,10 +320,10 @@ class TraceEngine {
   /// Incremental MTD curve for the selected subkey: workers snapshot each
   /// shard's partial accumulator at the checkpoints falling inside it;
   /// the snapshots are then ranked in order against the merged prefix
-  /// (ShardedMtd) — the full measurements-to-disclosure experiment in a
-  /// single parallel pass over generated-and-dropped traces. The correct
-  /// subkey is read from options.key. Duplicate checkpoints are evaluated
-  /// once.
+  /// (MtdDistinguisher) — the full measurements-to-disclosure experiment
+  /// in a single parallel pass over generated-and-dropped traces. The
+  /// correct subkey is read from options.key. Duplicate checkpoints are
+  /// evaluated once.
   MtdResult mtd_campaign(const CampaignOptions& options,
                          const AttackSelector& selector,
                          const std::vector<std::size_t>& checkpoints);

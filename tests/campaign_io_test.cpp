@@ -13,8 +13,10 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -88,24 +90,32 @@ void write_bytes(const std::string& path,
             static_cast<std::streamsize>(bytes.size()));
 }
 
-// Deterministic sub-plaintext / sample streams for accumulator-level
-// round trips (no engine involved).
-template <typename Feed>
-void feed_traces(std::size_t count, const Feed& feed) {
+// Deterministic sub-plaintext / sample blocks for accumulator-level
+// round trips (no engine involved): `count` traces of `width` samples.
+struct Block {
+  std::vector<std::uint8_t> pts;
+  std::vector<double> rows;  // [trace * width + column]
+};
+
+Block make_block(std::size_t count, std::size_t width = 1) {
+  Block block;
   Rng rng(0xF00D);
   for (std::size_t i = 0; i < count; ++i) {
-    const auto pt = static_cast<std::uint8_t>(rng.below(16));
-    feed(pt, rng);
+    block.pts.push_back(static_cast<std::uint8_t>(rng.below(16)));
+    for (std::size_t l = 0; l < width; ++l) {
+      block.rows.push_back(1e-13 * rng.uniform());
+    }
   }
+  return block;
 }
 
 // ---- accumulator serialization --------------------------------------------
 
 TEST(CampaignIoTest, StreamingCpaRoundTripsBitExactly) {
   StreamingCpa original(present_spec(), PowerModel::kHammingWeight);
-  feed_traces(257, [&](std::uint8_t pt, Rng& rng) {
-    original.add(pt, 1e-13 * rng.uniform());
-  });
+  const Block block = make_block(257);
+  original.add_block(block.pts.data(), block.rows.data(), 200);
+  original.add_block(block.pts.data() + 200, block.rows.data() + 200, 57);
   ByteWriter writer;
   original.save(writer);
 
@@ -124,9 +134,9 @@ TEST(CampaignIoTest, StreamingCpaRoundTripsBitExactly) {
 
 TEST(CampaignIoTest, StreamingDomRoundTripsBitExactly) {
   StreamingDom original(present_spec(), 2);
-  feed_traces(300, [&](std::uint8_t pt, Rng& rng) {
-    original.add(pt, 1e-13 * rng.uniform());
-  });
+  const Block block = make_block(300);
+  original.add_block(block.pts.data(), block.rows.data(), 100);
+  original.add_block(block.pts.data() + 100, block.rows.data() + 100, 200);
   ByteWriter writer;
   original.save(writer);
   StreamingDom loaded(present_spec(), 2);
@@ -142,11 +152,8 @@ TEST(CampaignIoTest, StreamingMultiCpaRoundTripsBitExactly) {
   constexpr std::size_t kWidth = 3;
   StreamingMultiCpa original(present_spec(), PowerModel::kHammingWeight,
                              kWidth);
-  feed_traces(211, [&](std::uint8_t pt, Rng& rng) {
-    double row[kWidth];
-    for (double& x : row) x = 1e-13 * rng.uniform();
-    original.add(pt, row);
-  });
+  const Block block = make_block(211, kWidth);
+  original.add_block(block.pts.data(), block.rows.data(), 211);
   ByteWriter writer;
   original.save(writer);
   StreamingMultiCpa loaded(present_spec(), PowerModel::kHammingWeight,
@@ -199,25 +206,76 @@ TEST(CampaignIoTest, NeverFedSecondOrderRoundTripsAsWidthZero) {
   EXPECT_EQ(loaded.count(), 0u);
 }
 
-TEST(CampaignIoTest, ShardedMtdRoundTripsBitExactly) {
-  const StreamingCpa prototype(present_spec(), PowerModel::kHammingWeight);
-  ShardedMtd original(0xB);
-  StreamingCpa shard(prototype);
-  feed_traces(200, [&](std::uint8_t pt, Rng& rng) {
-    shard.add(pt, 1e-13 * rng.uniform());
-  });
-  original.checkpoint(64, shard);  // pre-append in-shard checkpoint
-  original.append(shard);
-  ByteWriter writer;
-  original.save(writer);
-  ShardedMtd loaded(0xB);
-  ByteReader reader(writer.buffer().data(), writer.buffer().size(), "mem");
-  loaded.load(reader, prototype);
-  EXPECT_EQ(loaded.count(), original.count());
-  EXPECT_EQ(loaded.result().rank_history, original.result().rank_history);
-  ByteWriter again;
-  loaded.save(again);
-  EXPECT_EQ(again.buffer(), writer.buffer());
+TEST(CampaignIoTest, StreamingDomLoadsUnshiftedLayoutAsShiftZero) {
+  // The unshifted DoM layout (tag 0x53AB1002: raw partition sums, no
+  // shift field) still loads — its sums are sums relative to 0 — and
+  // re-saves under the shifted layout with the same scores.
+  const Block block = make_block(300);
+  const std::size_t bit = 1;
+  const std::size_t guesses = 16;
+  const SboxSpec spec = present_spec();
+  double sum[2][16] = {};
+  std::uint64_t cnt[2][16] = {};
+  for (std::size_t t = 0; t < block.pts.size(); ++t) {
+    for (std::size_t g = 0; g < guesses; ++g) {
+      const int p = predict_leakage(spec, PowerModel::kSboxOutputBit,
+                                    block.pts[t],
+                                    static_cast<std::uint8_t>(g), bit) > 0.5
+                        ? 1
+                        : 0;
+      sum[p][g] += block.rows[t];
+      ++cnt[p][g];
+    }
+  }
+  ByteWriter legacy;
+  legacy.u32(0x53AB1002);
+  legacy.u64(guesses);
+  legacy.u64(bit);
+  legacy.u64(block.pts.size());
+  for (int p : {0, 1}) {
+    legacy.f64s(sum[p], guesses);
+    for (std::size_t g = 0; g < guesses; ++g) legacy.u64(cnt[p][g]);
+  }
+  StreamingDom loaded(spec, bit);
+  ByteReader reader(legacy.buffer().data(), legacy.buffer().size(), "mem");
+  loaded.load(reader);
+  EXPECT_EQ(reader.remaining(), 0u);
+  EXPECT_EQ(loaded.count(), block.pts.size());
+  std::vector<double> expected(guesses);
+  for (std::size_t g = 0; g < guesses; ++g) {
+    expected[g] = std::fabs(sum[1][g] / static_cast<double>(cnt[1][g]) -
+                            sum[0][g] / static_cast<double>(cnt[0][g]));
+  }
+  expect_same_scores(loaded.result().score, expected);
+
+  // A shifted state merged in rebases onto shift 0: the same traces
+  // twice keep the same partition means.
+  StreamingDom more(spec, bit);
+  more.add_block(block.pts.data(), block.rows.data(), block.pts.size());
+  loaded.merge(more);
+  EXPECT_EQ(loaded.count(), 2 * block.pts.size());
+  for (std::size_t g = 0; g < guesses; ++g) {
+    EXPECT_NEAR(loaded.result().score[g], expected[g],
+                1e-9 * expected[g] + 1e-30)
+        << g;
+  }
+}
+
+TEST(CampaignIoTest, MtdShardStateRejectsPerTraceLayout) {
+  // MTD shard states written by the per-trace accumulator (tag
+  // 0x53AB1006) are rejected: their snapshots were rounded differently,
+  // so a resumed run would mix two formulations in one fold.
+  MtdDistinguisher mtd(present_spec(),
+                       AttackSelector{.model = PowerModel::kHammingWeight},
+                       0xB, default_checkpoints(1000), 1000);
+  ByteWriter stale;
+  stale.u32(0x53AB1006);
+  StreamingCpa(present_spec(), PowerModel::kHammingWeight).save(stale);
+  stale.u64(0);
+  const std::unique_ptr<ShardAccumulator> state =
+      mtd.make_shard_accumulator();
+  ByteReader reader(stale.buffer().data(), stale.buffer().size(), "mem");
+  EXPECT_THROW(state->load(reader), InvalidArgument);
 }
 
 TEST(CampaignIoTest, AccumulatorLoadRejectsWrongTypeAndConfig) {

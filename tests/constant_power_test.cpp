@@ -1,0 +1,123 @@
+// The constant-power invariant: resistance is a property of the circuit,
+// not of one attack. A noiseless campaign on a balanced differential
+// style (SABL with fully connected or enhanced networks, WDDL with a
+// balanced back-end) draws the same energy every cycle, so every
+// distinguisher must extract exactly nothing from it: CPA, DoM and every
+// MTD checkpoint score exactly 0.0 and rank the correct key by the
+// index tie-break alone — live and replayed from a recorded corpus, at
+// every lane width the machine runs.
+//
+// Exact, not approximate: each accumulator shifts its samples by a
+// sample it saw, so a constant stream leaves every shifted sum an exact
+// 0.0 and no rounding residue can order the guesses.
+#include <gtest/gtest.h>
+
+#include <cstddef>
+#include <cstdio>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "crypto/round_target.hpp"
+#include "dpa/distinguisher.hpp"
+#include "dpa/mtd.hpp"
+#include "engine/trace_engine.hpp"
+#include "io/corpus.hpp"
+#include "util/cpu_dispatch.hpp"
+
+namespace sable {
+namespace {
+
+const Technology kTech = Technology::generic_180nm();
+
+constexpr std::size_t kKey = 0x9;
+
+// 3000 traces over 448-trace shards: 7 shards with a ragged tail, so the
+// merge tree, the ordered MTD fold and in-shard checkpoints all run.
+CampaignOptions noiseless_options(const RoundSpec& round) {
+  CampaignOptions options;
+  options.num_traces = 3000;
+  options.key = round.pack_subkeys({kKey});
+  options.noise_sigma = 0.0;
+  options.seed = 0xC0457;
+  options.shard_size = 448;
+  return options;
+}
+
+// One CPA, one DoM per output bit and one MTD over a campaign.
+struct AttackSet {
+  std::unique_ptr<CpaDistinguisher> cpa;
+  std::vector<std::unique_ptr<DomDistinguisher>> dom;
+  std::unique_ptr<MtdDistinguisher> mtd;
+  std::vector<Distinguisher*> list;
+
+  AttackSet(const RoundSpec& round, std::size_t num_traces) {
+    const SboxSpec& spec = round.sboxes[0];
+    const AttackSelector hw{.model = PowerModel::kHammingWeight};
+    cpa = std::make_unique<CpaDistinguisher>(spec, hw);
+    list.push_back(cpa.get());
+    for (std::size_t bit = 0; bit < spec.out_bits; ++bit) {
+      dom.push_back(std::make_unique<DomDistinguisher>(
+          spec, AttackSelector{.bit = bit}));
+      list.push_back(dom.back().get());
+    }
+    mtd = std::make_unique<MtdDistinguisher>(
+        spec, hw, kKey, default_checkpoints(num_traces), num_traces);
+    list.push_back(mtd.get());
+  }
+};
+
+void expect_nothing_extracted(const AttackResult& result,
+                              const std::string& what) {
+  for (std::size_t g = 0; g < result.score.size(); ++g) {
+    EXPECT_EQ(result.score[g], 0.0) << what << " guess " << g;
+  }
+  EXPECT_EQ(result.rank_of(kKey), kKey) << what;
+}
+
+void expect_nothing_extracted(const AttackSet& set, const std::string& what) {
+  expect_nothing_extracted(set.cpa->result(), what + " CPA");
+  for (std::size_t bit = 0; bit < set.dom.size(); ++bit) {
+    expect_nothing_extracted(set.dom[bit]->result(),
+                             what + " DoM bit " + std::to_string(bit));
+  }
+  const MtdResult& mtd = set.mtd->result();
+  EXPECT_FALSE(mtd.disclosed) << what;
+  ASSERT_FALSE(mtd.rank_history.empty()) << what;
+  for (const auto& [count, rank] : mtd.rank_history) {
+    EXPECT_EQ(rank, kKey) << what << " MTD checkpoint " << count;
+  }
+}
+
+class ConstantPowerTest : public testing::TestWithParam<LogicStyle> {};
+
+TEST_P(ConstantPowerTest, EveryDistinguisherScoresExactlyZero) {
+  const RoundSpec round = present_round(1, GetParam());
+  TraceEngine engine(round, kTech);
+  CampaignOptions options = noiseless_options(round);
+  for (const std::size_t width : runtime_lane_widths()) {
+    options.lane_width = width;
+    const std::string where = std::string(to_string(GetParam())) +
+                              " lanes " + std::to_string(width);
+
+    AttackSet live(round, options.num_traces);
+    engine.run_distinguishers(options, live.list);
+    expect_nothing_extracted(live, where + " live");
+
+    const std::string path = testing::TempDir() + "constant_power_" +
+                             std::to_string(width) + ".corpus";
+    engine.record(options, TraceDataKind::kScalar, path);
+    AttackSet replayed(round, options.num_traces);
+    ASSERT_TRUE(engine.replay(CorpusReader(path), replayed.list));
+    expect_nothing_extracted(replayed, where + " replayed");
+    std::remove(path.c_str());
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(BalancedStyles, ConstantPowerTest,
+                         testing::Values(LogicStyle::kSablFullyConnected,
+                                         LogicStyle::kSablEnhanced,
+                                         LogicStyle::kWddlBalanced));
+
+}  // namespace
+}  // namespace sable

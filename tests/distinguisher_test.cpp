@@ -2,9 +2,10 @@
 //
 //  * every wrapped campaign (cpa/dom/mtd/multi_cpa) is BIT-IDENTICAL to
 //    the pre-pipeline formulation — per-shard streaming accumulators over
-//    the streamed campaign, reduced by the fixed-shape merge tree (or
-//    ShardedMtd's ordered fold) — which is exactly the reference
-//    reconstructed by hand here;
+//    the streamed campaign, reduced by the fixed-shape merge tree (or, for
+//    MTD, the ordered prefix fold over checkpoint-split sub-blocks) —
+//    which is exactly the reference reconstructed by hand here; MTD is
+//    also checked against the naive prefix oracle (dpa_reference.hpp);
 //  * the second-order centered-product CPA matches the retained-trace
 //    reference (full-campaign means, centered products, Pearson) to
 //    1e-12;
@@ -16,10 +17,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "dpa/distinguisher.hpp"
 #include "dpa/second_order.hpp"
+#include "dpa_reference.hpp"
 #include "engine/trace_engine.hpp"
 #include "util/cpu_dispatch.hpp"
 #include "power/stats.hpp"
@@ -133,25 +137,54 @@ TEST(DistinguisherPipelineTest, MtdCampaignBitIdenticalToManualShards) {
                ladder.end());
 
   TraceEngine engine(round, kTech);
+  const SboxSpec& spec = round.sboxes[0];
   const std::size_t subkey = round.sub_word(options.key.data(), 0);
-  ShardedMtd driver(subkey);
+  // The retained campaign for the prefix oracle.
+  TraceSet retained;
+  for_each_shard(engine, options, 0, /*sampled=*/false,
+                 [&](std::size_t, const std::uint8_t* pts,
+                     const double* samples, std::size_t n) {
+                   retained.add_batch(pts, samples, n);
+                 });
+
+  // The ordered fold by hand: each shard splits its block at the
+  // checkpoints inside it (one add_block per sub-block), and every
+  // checkpoint is ranked from merge(prior shards, partial).
+  std::optional<StreamingCpa> merged;
+  std::vector<std::pair<std::size_t, std::size_t>> history;
   for_each_shard(
       engine, options, 0, /*sampled=*/false,
       [&](std::size_t shard, const std::uint8_t* pts, const double* samples,
           std::size_t n) {
         const std::size_t start = shard * campaign_shard_size(options);
-        StreamingCpa acc(round.sboxes[0], selector.model, selector.bit);
+        StreamingCpa acc(spec, selector.model, selector.bit);
         std::size_t done = 0;
         for (auto it = std::upper_bound(ladder.begin(), ladder.end(), start);
              it != ladder.end() && *it <= start + n; ++it) {
-          acc.add_batch(pts + done, samples + done, *it - start - done);
+          acc.add_block(pts + done, samples + done, *it - start - done);
           done = *it - start;
-          driver.checkpoint(*it, acc);
+          StreamingCpa prefix = merged ? *merged : acc;
+          if (merged) prefix.merge(acc);
+          ASSERT_EQ(prefix.count(), *it);
+          // Every checkpoint's scores sit within 1e-12 of the two-pass
+          // oracle over the same prefix.
+          const std::vector<double> oracle = reference::cpa_scores(
+              reference::prefix(retained, *it), spec, selector.model);
+          const AttackResult scored = prefix.result();
+          for (std::size_t g = 0; g < oracle.size(); ++g) {
+            EXPECT_NEAR(scored.score[g], oracle[g], 1e-12)
+                << "checkpoint " << *it << " guess " << g;
+          }
+          history.emplace_back(*it, scored.rank_of(subkey));
         }
-        acc.add_batch(pts + done, samples + done, n - done);
-        driver.append(acc);
+        acc.add_block(pts + done, samples + done, n - done);
+        if (merged) {
+          merged->merge(acc);
+        } else {
+          merged = acc;
+        }
       });
-  const MtdResult reference = driver.result();
+  const MtdResult reference = mtd_from_history(std::move(history));
   const MtdResult result = engine.mtd_campaign(options, selector, checkpoints);
   EXPECT_EQ(result.disclosed, reference.disclosed);
   EXPECT_EQ(result.mtd, reference.mtd);
@@ -160,6 +193,11 @@ TEST(DistinguisherPipelineTest, MtdCampaignBitIdenticalToManualShards) {
     EXPECT_EQ(result.rank_history[i], reference.rank_history[i]) << i;
   }
   EXPECT_TRUE(reference.disclosed);
+  // And rank for rank, the prefix oracle's curve.
+  EXPECT_EQ(result.rank_history,
+            reference::cpa_prefix_mtd(retained, subkey, checkpoints, spec,
+                                      selector.model)
+                .rank_history);
 }
 
 TEST(DistinguisherPipelineTest, MultiCpaCampaignBitIdenticalToManualShards) {

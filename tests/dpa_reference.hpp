@@ -1,0 +1,144 @@
+// Naive reference distinguishers: the test oracle the streaming,
+// block-factored and sharded attack paths are checked against.
+//
+// Every function here keeps all traces resident and recomputes from
+// scratch in the textbook formulation — two-pass Pearson CPA per key
+// guess, partition-mean DoM, per-column CPA, and prefix MTD (re-attack
+// each checkpoint's prefix) — sharing no code with the library's
+// accumulators beyond the leakage prediction and the two-pass
+// power/stats.hpp pearson().
+#pragma once
+
+#include <algorithm>
+#include <cmath>
+#include <cstddef>
+#include <cstdint>
+#include <functional>
+#include <utility>
+#include <vector>
+
+#include "crypto/leakage.hpp"
+#include "crypto/sboxes.hpp"
+#include "dpa/attack.hpp"
+#include "dpa/mtd.hpp"
+#include "power/stats.hpp"
+#include "power/trace.hpp"
+
+namespace sable::reference {
+
+/// |Pearson| per key guess between the samples and the predicted leakage.
+inline std::vector<double> cpa_scores(const std::vector<std::uint8_t>& pts,
+                                      const std::vector<double>& samples,
+                                      const SboxSpec& spec, PowerModel model,
+                                      std::size_t bit = 0) {
+  const std::size_t num_guesses = std::size_t{1} << spec.in_bits;
+  std::vector<double> scores(num_guesses);
+  std::vector<double> prediction(pts.size());
+  for (std::size_t g = 0; g < num_guesses; ++g) {
+    for (std::size_t t = 0; t < pts.size(); ++t) {
+      prediction[t] = predict_leakage(spec, model, pts[t],
+                                      static_cast<std::uint8_t>(g), bit);
+    }
+    scores[g] = std::fabs(pearson(prediction, samples));
+  }
+  return scores;
+}
+
+inline std::vector<double> cpa_scores(const TraceSet& traces,
+                                      const SboxSpec& spec, PowerModel model,
+                                      std::size_t bit = 0) {
+  return cpa_scores(traces.plaintexts, traces.samples, spec, model, bit);
+}
+
+/// |mean(partition 1) − mean(partition 0)| per key guess, partitioning on
+/// the predicted S-box output bit; 0 when a partition is empty.
+inline std::vector<double> dom_scores(const std::vector<std::uint8_t>& pts,
+                                      const std::vector<double>& samples,
+                                      const SboxSpec& spec, std::size_t bit) {
+  const std::size_t num_guesses = std::size_t{1} << spec.in_bits;
+  std::vector<double> scores(num_guesses, 0.0);
+  for (std::size_t g = 0; g < num_guesses; ++g) {
+    double sum[2] = {0.0, 0.0};
+    std::size_t n[2] = {0, 0};
+    for (std::size_t t = 0; t < pts.size(); ++t) {
+      const double pred =
+          predict_leakage(spec, PowerModel::kSboxOutputBit, pts[t],
+                          static_cast<std::uint8_t>(g), bit);
+      const int p = pred > 0.5 ? 1 : 0;
+      sum[p] += samples[t];
+      ++n[p];
+    }
+    if (n[0] == 0 || n[1] == 0) continue;
+    scores[g] = std::fabs(sum[1] / static_cast<double>(n[1]) -
+                          sum[0] / static_cast<double>(n[0]));
+  }
+  return scores;
+}
+
+inline std::vector<double> dom_scores(const TraceSet& traces,
+                                      const SboxSpec& spec, std::size_t bit) {
+  return dom_scores(traces.plaintexts, traces.samples, spec, bit);
+}
+
+/// Time-resolved CPA: two-pass CPA per sample column, then the largest
+/// |ρ| over the columns per guess.
+inline std::vector<double> multi_cpa_scores(const MultiTraceSet& traces,
+                                            const SboxSpec& spec,
+                                            PowerModel model,
+                                            std::size_t bit = 0) {
+  std::vector<double> combined(std::size_t{1} << spec.in_bits, 0.0);
+  std::vector<double> column(traces.size());
+  for (std::size_t s = 0; s < traces.width; ++s) {
+    for (std::size_t t = 0; t < traces.size(); ++t) {
+      column[t] = traces.at(t, s);
+    }
+    const std::vector<double> scores =
+        cpa_scores(traces.plaintexts, column, spec, model, bit);
+    for (std::size_t g = 0; g < combined.size(); ++g) {
+      combined[g] = std::max(combined[g], scores[g]);
+    }
+  }
+  return combined;
+}
+
+/// The first `n` traces of a scalar trace set.
+inline TraceSet prefix(const TraceSet& traces, std::size_t n) {
+  TraceSet out;
+  out.pt_width = traces.pt_width;
+  out.plaintexts.assign(
+      traces.plaintexts.begin(),
+      traces.plaintexts.begin() +
+          static_cast<std::ptrdiff_t>(n * traces.pt_width));
+  out.samples.assign(traces.samples.begin(),
+                     traces.samples.begin() + static_cast<std::ptrdiff_t>(n));
+  return out;
+}
+
+/// Prefix MTD: runs `attack` from scratch on the first n traces for every
+/// checkpoint n in [2, traces.size()], in the given order.
+inline MtdResult prefix_mtd(
+    const TraceSet& traces, std::size_t correct_key,
+    const std::vector<std::size_t>& checkpoints,
+    const std::function<AttackResult(const TraceSet&)>& attack) {
+  std::vector<std::pair<std::size_t, std::size_t>> history;
+  for (std::size_t n : checkpoints) {
+    if (n > traces.size() || n < 2) continue;
+    history.emplace_back(n, attack(prefix(traces, n)).rank_of(correct_key));
+  }
+  return mtd_from_history(std::move(history));
+}
+
+/// Prefix MTD over the two-pass CPA oracle.
+inline MtdResult cpa_prefix_mtd(const TraceSet& traces,
+                                std::size_t correct_key,
+                                const std::vector<std::size_t>& checkpoints,
+                                const SboxSpec& spec, PowerModel model,
+                                std::size_t bit = 0) {
+  return prefix_mtd(traces, correct_key, checkpoints,
+                    [&](const TraceSet& t) {
+                      return make_attack_result(
+                          cpa_scores(t, spec, model, bit));
+                    });
+}
+
+}  // namespace sable::reference

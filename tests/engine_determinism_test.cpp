@@ -18,6 +18,7 @@
 #include "dpa/attack.hpp"
 #include "dpa/mtd.hpp"
 #include "dpa/streaming.hpp"
+#include "dpa_reference.hpp"
 #include "engine/trace_engine.hpp"
 #include "power/stats.hpp"
 #include "util/cpu_dispatch.hpp"
@@ -200,21 +201,19 @@ TEST(MergeTest, OnlineMomentsMergeMatchesSequential) {
 TEST(MergeTest, StreamingCpaMergeMatchesSequential) {
   const SboxSpec spec = present_spec();
   const TraceSet traces = cmos_traces(4000, 0x6, 0xCAB1E);
-  StreamingCpa sequential(spec, PowerModel::kHammingWeight);
-  sequential.add_batch(traces.plaintexts.data(), traces.samples.data(),
-                       traces.size());
   StreamingCpa merged(spec, PowerModel::kHammingWeight);
   const std::size_t bounds[] = {0, 700, 701, 2048, 4000};
   for (std::size_t p = 0; p + 1 < std::size(bounds); ++p) {
     StreamingCpa part(spec, PowerModel::kHammingWeight);
-    part.add_batch(traces.plaintexts.data() + bounds[p],
+    part.add_block(traces.plaintexts.data() + bounds[p],
                    traces.samples.data() + bounds[p],
                    bounds[p + 1] - bounds[p]);
     merged.merge(part);
   }
-  EXPECT_EQ(merged.count(), sequential.count());
+  EXPECT_EQ(merged.count(), traces.size());
   const AttackResult a = merged.result();
-  const AttackResult b = sequential.result();
+  const AttackResult b = make_attack_result(
+      reference::cpa_scores(traces, spec, PowerModel::kHammingWeight));
   ASSERT_EQ(a.score.size(), b.score.size());
   for (std::size_t g = 0; g < b.score.size(); ++g) {
     EXPECT_NEAR(a.score[g], b.score[g], 1e-12) << g;
@@ -226,23 +225,23 @@ TEST(MergeTest, StreamingDomMergeMatchesSequential) {
   const SboxSpec spec = present_spec();
   const TraceSet traces = cmos_traces(3000, 0x9, 0xD0D1);
   for (std::size_t bit = 0; bit < 2; ++bit) {
-    StreamingDom sequential(spec, bit);
-    sequential.add_batch(traces.plaintexts.data(), traces.samples.data(),
-                         traces.size());
     StreamingDom merged(spec, bit);
     const std::size_t bounds[] = {0, 123, 2000, 3000};
     for (std::size_t p = 0; p + 1 < std::size(bounds); ++p) {
       StreamingDom part(spec, bit);
-      part.add_batch(traces.plaintexts.data() + bounds[p],
+      part.add_block(traces.plaintexts.data() + bounds[p],
                      traces.samples.data() + bounds[p],
                      bounds[p + 1] - bounds[p]);
       merged.merge(part);
     }
-    EXPECT_EQ(merged.count(), sequential.count());
+    EXPECT_EQ(merged.count(), traces.size());
     const AttackResult a = merged.result();
-    const AttackResult b = sequential.result();
-    for (std::size_t g = 0; g < b.score.size(); ++g) {
-      EXPECT_NEAR(a.score[g], b.score[g], 1e-12 * (1.0 + b.score[g])) << g;
+    const std::vector<double> b = reference::dom_scores(traces, spec, bit);
+    // Relative to the score scale (~1e-15 J): the oracle's raw partition
+    // sums cancel bits the shifted, rebased sums keep.
+    const double scale = *std::max_element(b.begin(), b.end());
+    for (std::size_t g = 0; g < b.size(); ++g) {
+      EXPECT_NEAR(a.score[g], b[g], 1e-12 * scale) << g;
     }
   }
 }
@@ -263,68 +262,25 @@ TEST(MergeTest, StreamingMultiCpaMergeMatchesSequential) {
   }
   StreamingMultiCpa sequential(spec, PowerModel::kHammingWeight,
                                traces.width);
-  for (std::size_t t = 0; t < traces.size(); ++t) {
-    sequential.add(traces.plaintexts[t],
-                   traces.samples.data() + t * traces.width);
-  }
+  sequential.add_block(traces.plaintexts.data(), traces.samples.data(),
+                       traces.size());
   StreamingMultiCpa merged(spec, PowerModel::kHammingWeight, traces.width);
   const std::size_t bounds[] = {0, 311, 900, 1200};
   for (std::size_t p = 0; p + 1 < std::size(bounds); ++p) {
     StreamingMultiCpa part(spec, PowerModel::kHammingWeight, traces.width);
-    for (std::size_t t = bounds[p]; t < bounds[p + 1]; ++t) {
-      part.add(traces.plaintexts[t], traces.samples.data() + t * traces.width);
-    }
+    part.add_block(traces.plaintexts.data() + bounds[p],
+                   traces.samples.data() + bounds[p] * traces.width,
+                   bounds[p + 1] - bounds[p]);
     merged.merge(part);
   }
   const MultiAttackResult a = merged.result();
-  const MultiAttackResult b = sequential.result();
-  ASSERT_EQ(a.combined.score.size(), b.combined.score.size());
-  for (std::size_t g = 0; g < b.combined.score.size(); ++g) {
-    EXPECT_NEAR(a.combined.score[g], b.combined.score[g], 1e-12) << g;
+  const std::vector<double> b =
+      reference::multi_cpa_scores(traces, spec, PowerModel::kHammingWeight);
+  ASSERT_EQ(a.combined.score.size(), b.size());
+  for (std::size_t g = 0; g < b.size(); ++g) {
+    EXPECT_NEAR(a.combined.score[g], b[g], 1e-12) << g;
   }
-  EXPECT_EQ(a.best_sample, b.best_sample);
-}
-
-TEST(MergeTest, ShardedMtdMatchesStreamingMtd) {
-  const SboxSpec spec = present_spec();
-  const std::uint8_t key = 0xB;
-  const TraceSet traces = cmos_traces(3000, key, 0x17D8);
-  const auto checkpoints = default_checkpoints(traces.size());
-
-  StreamingMtd sequential(StreamingCpa(spec, PowerModel::kHammingWeight), key,
-                          checkpoints);
-  sequential.add_batch(traces.plaintexts.data(), traces.samples.data(),
-                       traces.size());
-  const MtdResult reference = sequential.result();
-
-  // Feed ShardedMtd exactly as the engine does: 512-trace shards, partial
-  // snapshots at in-shard checkpoints, full accumulators appended after.
-  ShardedMtd sharded(key);
-  const std::size_t shard_size = 512;
-  std::vector<std::size_t> ladder(checkpoints);
-  std::sort(ladder.begin(), ladder.end());
-  for (std::size_t start = 0; start < traces.size(); start += shard_size) {
-    const std::size_t count = std::min(shard_size, traces.size() - start);
-    StreamingCpa acc(spec, PowerModel::kHammingWeight);
-    std::size_t done = 0;
-    for (std::size_t c : ladder) {
-      if (c <= start || c > start + count || c < 2) continue;
-      acc.add_batch(traces.plaintexts.data() + start + done,
-                    traces.samples.data() + start + done, c - start - done);
-      done = c - start;
-      sharded.checkpoint(c, acc);
-    }
-    acc.add_batch(traces.plaintexts.data() + start + done,
-                  traces.samples.data() + start + done, count - done);
-    sharded.append(acc);
-  }
-  const MtdResult result = sharded.result();
-  EXPECT_EQ(result.disclosed, reference.disclosed);
-  EXPECT_EQ(result.mtd, reference.mtd);
-  ASSERT_EQ(result.rank_history.size(), reference.rank_history.size());
-  for (std::size_t i = 0; i < reference.rank_history.size(); ++i) {
-    EXPECT_EQ(result.rank_history[i], reference.rank_history[i]) << i;
-  }
+  EXPECT_EQ(a.best_sample, sequential.result().best_sample);
 }
 
 // The engine's attack reduction is the fixed-shape binary merge tree —
