@@ -1,0 +1,57 @@
+#include "engine/shard_feed.hpp"
+
+#include <algorithm>
+
+#include "crypto/round_target.hpp"
+
+namespace sable {
+
+ShardFeed::ShardFeed(const RoundSpec& round,
+                     std::span<Distinguisher* const> distinguishers)
+    : round_(round),
+      distinguishers_(distinguishers),
+      slot_of_(distinguishers.size()),
+      alias_(round.num_sboxes() == 1 && round.state_bytes() == 1) {
+  for (std::size_t d = 0; d < distinguishers.size(); ++d) {
+    const std::size_t index = distinguishers[d]->sbox_index();
+    const auto it = std::find(slot_sbox_.begin(), slot_sbox_.end(), index);
+    slot_of_[d] = static_cast<std::size_t>(it - slot_sbox_.begin());
+    if (it == slot_sbox_.end()) slot_sbox_.push_back(index);
+  }
+}
+
+bool ShardFeed::consumes(TraceDataKind kind) const {
+  return std::any_of(
+      distinguishers_.begin(), distinguishers_.end(),
+      [&](const Distinguisher* d) { return d->data_kind() == kind; });
+}
+
+void ShardFeed::feed(const ShardTraces& traces, ShardStates& states,
+                     std::vector<std::uint8_t>& scratch) const {
+  const std::uint8_t* sub_pts = traces.pts;
+  if (!alias_) {
+    if (scratch.size() < traces.count * slot_sbox_.size()) {
+      scratch.resize(traces.count * slot_sbox_.size());
+    }
+    for (std::size_t slot = 0; slot < slot_sbox_.size(); ++slot) {
+      round_.sub_words(traces.pts, traces.count, slot_sbox_[slot],
+                       scratch.data() + slot * traces.count);
+    }
+    sub_pts = scratch.data();
+  }
+  for (std::size_t d = 0; d < distinguishers_.size(); ++d) {
+    const bool scalar =
+        distinguishers_[d]->data_kind() == TraceDataKind::kScalar;
+    ShardBlock block;
+    block.start = traces.start;
+    block.sub_pts = sub_pts + slot_of_[d] * traces.count;
+    block.data = scalar ? traces.scalar : traces.rows;
+    block.width = scalar ? 1 : traces.levels;
+    block.count = traces.count;
+    auto& state = states[d][traces.shard];
+    state = distinguishers_[d]->make_shard_accumulator();
+    state->accumulate(block);
+  }
+}
+
+}  // namespace sable

@@ -1,7 +1,6 @@
 #include "engine/shard_reduce.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <vector>
 
 #include "engine/worker_pool.hpp"
@@ -44,33 +43,19 @@ void reduce_and_finalize_distinguishers(
       unordered.push_back(d);
     }
   }
-  if (!unordered.empty()) {
-    std::vector<std::size_t> lefts;  // the round's merge targets i
-    for (std::size_t stride = 1; stride < num_shards; stride *= 2) {
-      lefts.clear();
-      for (std::size_t i = 0; i + stride < num_shards; i += 2 * stride) {
-        lefts.push_back(i);
-      }
-      const std::size_t merges = unordered.size() * lefts.size();
-      const std::size_t merge_threads = std::min(threads, merges);
-      if (merge_threads <= 1) {
-        for (std::size_t d : unordered) {
-          for (std::size_t i : lefts) {
-            states[d][i]->merge(*states[d][i + stride]);
-          }
-        }
-      } else {
-        std::atomic<std::size_t> next{0};
-        workers.run(merge_threads, [&](std::size_t) {
-          for (std::size_t k = next.fetch_add(1); k < merges;
-               k = next.fetch_add(1)) {
-            const std::size_t d = unordered[k / lefts.size()];
-            const std::size_t i = lefts[k % lefts.size()];
-            states[d][i]->merge(*states[d][i + stride]);
-          }
-        });
-      }
+  std::vector<std::size_t> lefts;  // the round's merge targets i
+  for (std::size_t stride = 1; stride < num_shards; stride *= 2) {
+    lefts.clear();
+    for (std::size_t i = 0; i + stride < num_shards; i += 2 * stride) {
+      lefts.push_back(i);
     }
+    parallel_for(
+        workers, threads, unordered.size() * lefts.size(), [] { return 0; },
+        [&](int, std::size_t k) {
+          const std::size_t d = unordered[k / lefts.size()];
+          const std::size_t i = lefts[k % lefts.size()];
+          states[d][i]->merge(*states[d][i + stride]);
+        });
   }
   for (std::size_t d = 0; d < distinguishers.size(); ++d) {
     distinguishers[d]->finalize(*states[d][0]);

@@ -18,9 +18,10 @@ class WorkerPool;
 /// distinguishers (MTD) reduce by the strict serial left fold in
 /// canonical shard order; unordered ones through the fixed-shape binary
 /// merge tree with each round's disjoint merges spread over `workers`
-/// (up to `threads` parties) — the pairing, and therefore the result,
-/// is bit-identical to the serial tree for any thread count. Throws
-/// InvalidArgument when any shard state is missing.
+/// by parallel_for (up to `threads` parties, 0 = hardware concurrency) —
+/// the pairing, and therefore the result, is bit-identical to the serial
+/// tree for any thread count. Throws InvalidArgument when any shard state
+/// is missing.
 void reduce_and_finalize_distinguishers(
     std::span<Distinguisher* const> distinguishers, ShardStates& states,
     WorkerPool& workers, std::size_t threads);

@@ -1,16 +1,12 @@
 #include "engine/trace_engine.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <limits>
-#include <condition_variable>
-#include <exception>
 #include <mutex>
-#include <optional>
-#include <thread>
 #include <utility>
 #include <vector>
 
+#include "engine/shard_feed.hpp"
 #include "engine/shard_reduce.hpp"
 #include "engine/worker_pool.hpp"
 #include "io/campaign_state.hpp"
@@ -65,8 +61,7 @@ std::uint64_t campaign_shard_seed(std::uint64_t campaign_seed,
 }
 
 std::size_t campaign_thread_count(const CampaignOptions& options) {
-  if (options.num_threads != 0) return options.num_threads;
-  return std::max(1u, std::thread::hardware_concurrency());
+  return resolve_thread_count(options.num_threads);
 }
 
 std::size_t campaign_lane_width(const CampaignOptions& options) {
@@ -175,57 +170,37 @@ ShardLayout layout_for(const CampaignOptions& options) {
   return layout;
 }
 
-std::size_t resolve_threads(const CampaignOptions& options,
-                            std::size_t num_shards) {
-  return std::max<std::size_t>(
-      1, std::min(campaign_thread_count(options), num_shards));
-}
-
 void validate_key(const RoundSpec& round, const CampaignOptions& options) {
   SABLE_REQUIRE(options.key.size() == round.state_bytes(),
                 "CampaignOptions::key must hold round().state_bytes() packed "
                 "bytes (use RoundSpec::pack_subkeys)");
 }
 
-// Shard s's wide plaintexts: RoundSpec::fill_random_states over the
-// shard's counter-derived plaintext sub-stream — for a single byte-wide
-// S-box this is the historic one-draw-per-trace stream, bit for bit.
-void generate_shard_plaintexts(const RoundSpec& round,
-                               const CampaignOptions& options,
-                               std::size_t shard, std::size_t count,
-                               std::uint8_t* pts) {
-  Rng pt_rng(campaign_shard_seed(options.seed, shard, 0));
-  round.fill_random_states(pt_rng, count, pts);
-}
-
-// Simulates one shard into caller-provided storage: per-shard RNG streams
-// and fresh simulator state make the result a pure function of (options,
-// shard) — the invariant every determinism guarantee rests on. The
-// simulation word width is a pure throughput knob (see lane_word.hpp).
+// Simulates one shard into caller-provided storage: `data` receives count
+// summed samples for kScalar, count rows of num_levels() samples for
+// kSampled. Shard s's wide plaintexts are RoundSpec::fill_random_states
+// over its counter-derived plaintext sub-stream (for a single byte-wide
+// S-box the historic one-draw-per-trace stream, bit for bit); together
+// with the per-shard noise stream and fresh simulator state this makes
+// the result a pure function of (options, shard, kind) — the invariant
+// every determinism guarantee rests on. The simulation word width is a
+// pure throughput knob (see lane_word.hpp).
 template <typename W>
 void simulate_shard(RoundTargetT<W>& target, const CampaignOptions& options,
                     const ShardLayout& layout, std::size_t shard,
-                    std::uint8_t* pts, double* samples) {
+                    TraceDataKind kind, std::uint8_t* pts, double* data) {
   const std::size_t count = layout.count(shard);
-  generate_shard_plaintexts(target.round(), options, shard, count, pts);
+  Rng pt_rng(campaign_shard_seed(options.seed, shard, 0));
+  target.round().fill_random_states(pt_rng, count, pts);
   Rng noise_rng(campaign_shard_seed(options.seed, shard, 1));
   target.reset_state();
-  target.trace_batch(pts, count, options.key.data(), options.noise_sigma,
-                     noise_rng, samples);
-}
-
-// Time-resolved sibling: `rows` holds count rows of num_levels() samples.
-template <typename W>
-void simulate_shard_sampled(RoundTargetT<W>& target,
-                            const CampaignOptions& options,
-                            const ShardLayout& layout, std::size_t shard,
-                            std::uint8_t* pts, double* rows) {
-  const std::size_t count = layout.count(shard);
-  generate_shard_plaintexts(target.round(), options, shard, count, pts);
-  Rng noise_rng(campaign_shard_seed(options.seed, shard, 1));
-  target.reset_state();
-  target.trace_batch_sampled(pts, count, options.key.data(),
-                             options.noise_sigma, noise_rng, rows);
+  if (kind == TraceDataKind::kScalar) {
+    target.trace_batch(pts, count, options.key.data(), options.noise_sigma,
+                       noise_rng, data);
+  } else {
+    target.trace_batch_sampled(pts, count, options.key.data(),
+                               options.noise_sigma, noise_rng, data);
+  }
 }
 
 // RAII lease of a worker target from the engine's persistent pool: an
@@ -263,230 +238,111 @@ class WorkerLease {
   std::unique_ptr<RoundTargetT<W>> worker_;
 };
 
-// Per-worker context: a leased target clone plus optional reusable trace
-// buffers, so the shard loop never allocates or shares mutable state.
-// Buffers are lazy — consumers that simulate into external storage (run's
-// TraceSet slices, the stream paths' per-shard slots) never pay for them.
-// `sample_width` is 1 for scalar campaigns and num_levels() for
-// time-resolved ones. The distinguisher driver uses the attack buffers
-// instead: `samples` and `rows` hold the shard's scalar / time-resolved
-// data side by side (a mixed campaign needs both), and `sub_pts` holds
-// one shard-sized slot of sub-plaintexts per distinct attacked instance.
-template <typename W>
-struct WorkerCtx {
-  WorkerLease<W> lease;
+// One shard's trace storage, grown on demand and reused: a stream slot,
+// or an attack worker's buffers. `samples` and `rows` hold the scalar /
+// time-resolved data side by side (a mixed attack campaign needs both).
+// Cache-line aligned so neighbouring stream slots, filled by different
+// workers, never share a line.
+struct alignas(64) ShardBuffers {
   std::vector<std::uint8_t> pts;
   std::vector<double> samples;
   std::vector<double> rows;
+
+  void ensure(std::size_t traces, std::size_t pt_stride, bool scalar,
+              std::size_t levels) {
+    if (pts.size() < traces * pt_stride) pts.resize(traces * pt_stride);
+    if (scalar && samples.size() < traces) samples.resize(traces);
+    if (rows.size() < traces * levels) rows.resize(traces * levels);
+  }
+  // The storage simulate_shard writes `kind`'s data into.
+  double* data(TraceDataKind kind) {
+    return kind == TraceDataKind::kScalar ? samples.data() : rows.data();
+  }
+};
+
+// An attack worker's context: its leased target, its shard buffers and
+// the shard feed's sub-plaintext scratch — so the shard loop never
+// allocates in steady state or shares mutable state.
+template <typename W>
+struct WorkerCtx {
+  WorkerLease<W> lease;
+  ShardBuffers buffers;
   std::vector<std::uint8_t> sub_pts;
 
   WorkerCtx(const RoundTargetT<W>& prototype, detail::LanePool<W>& pool)
       : lease(prototype, pool) {}
-
-  RoundTargetT<W>& target() { return lease.target(); }
-
-  void ensure_buffers(std::size_t shard_size, std::size_t pt_stride,
-                      std::size_t sample_width) {
-    if (pts.size() < shard_size * pt_stride) {
-      pts.resize(shard_size * pt_stride);
-    }
-    if (samples.size() < shard_size * sample_width) {
-      samples.resize(shard_size * sample_width);
-    }
-  }
-
-  void ensure_attack_buffers(std::size_t shard_size, std::size_t pt_stride,
-                             bool scalar, std::size_t levels,
-                             std::size_t slots) {
-    if (pts.size() < shard_size * pt_stride) {
-      pts.resize(shard_size * pt_stride);
-    }
-    if (scalar && samples.size() < shard_size) samples.resize(shard_size);
-    if (levels > 0 && rows.size() < shard_size * levels) {
-      rows.resize(shard_size * levels);
-    }
-    if (sub_pts.size() < shard_size * slots) {
-      sub_pts.resize(shard_size * slots);
-    }
-  }
 };
 
-// Dynamic shard scheduler: `fn(ctx, shard)` runs for every shard index on
-// `threads` parked pool workers (inline on the calling thread when
-// threads == 1; the calling thread is always party 0 of the pool run).
-// fn must only touch ctx and shard-indexed slots, keeping the scheduler
-// free of locks on the hot path. Worker exceptions are rethrown on the
-// caller.
-template <typename W, typename Fn>
-void run_pool(const RoundTargetT<W>& prototype, detail::LanePool<W>& pool,
-              WorkerPool& workers, const ShardLayout& layout,
-              std::size_t threads, Fn&& fn) {
-  if (layout.num_shards == 0) return;
-  if (threads <= 1) {
-    WorkerCtx<W> ctx(prototype, pool);
-    for (std::size_t s = 0; s < layout.num_shards; ++s) fn(ctx, s);
-    return;
-  }
-  std::atomic<std::size_t> next{0};
-  workers.run(threads, [&](std::size_t) {
-    WorkerCtx<W> ctx(prototype, pool);
-    for (std::size_t s = next.fetch_add(1); s < layout.num_shards;
-         s = next.fetch_add(1)) {
-      fn(ctx, s);
-    }
-  });
-}
+// Waves of the stream loop hold kWaveShardsPerThread shards per
+// simulating thread. Every wave ends in a pool join that parks and
+// re-wakes the workers, so short waves pay that hand-off often: on
+// ~60k-trace SABL streams at 4 threads, 2 and 4 shards per thread lost
+// to a barrier-free hand-off by more than its run-to-run spread, 8 did
+// not. In-flight storage stays two waves of 8 * threads slots.
+constexpr std::size_t kWaveShardsPerThread = 8;
 
-// Worklist sibling of run_pool: `fn(ctx, shard)` runs for every shard in
-// `work` (any subset of the canonical shards — resumed and range-split
-// campaigns accumulate only their uncovered slice). Scheduling order is
-// free; per-shard work is order-independent by construction.
-template <typename W, typename Fn>
-void run_pool_list(const RoundTargetT<W>& prototype,
-                   detail::LanePool<W>& pool, WorkerPool& workers,
-                   const std::vector<std::size_t>& work, std::size_t threads,
-                   Fn&& fn) {
-  if (work.empty()) return;
-  if (threads <= 1) {
-    WorkerCtx<W> ctx(prototype, pool);
-    for (std::size_t s : work) fn(ctx, s);
-    return;
-  }
-  std::atomic<std::size_t> next{0};
-  workers.run(std::min(threads, work.size()), [&](std::size_t) {
-    WorkerCtx<W> ctx(prototype, pool);
-    for (std::size_t k = next.fetch_add(1); k < work.size();
-         k = next.fetch_add(1)) {
-      fn(ctx, work[k]);
-    }
-  });
-}
-
-// Shared machinery of stream() and stream_sampled(): workers fill shard
-// slots via `simulate(target, shard, pts, samples)`; the calling thread
-// emits them to `sink` in canonical shard order. `pt_stride` /
-// `sample_width` size the per-trace storage.
-//
-// In-flight storage is a RING of `window` slots (window grows with the
-// thread count: enough slack that workers at different shard speeds
-// don't stall on the emitter, yet memory stays O(threads), not
-// O(num_shards)). Slot s % window is handed worker -> emitter -> next
-// worker strictly through the mutex: a worker may fill it only once
-// emit + window > s (so the previous occupant was emitted), the emitter
-// may drain it only once ready. Each slot is cache-line aligned and its
-// buffers are recycled through the ring, so steady-state streaming does
-// not allocate. The pool runs threads + 1 parties: party 0 — the calling
-// thread — is the emitter (the sink never runs concurrently with itself,
-// matching the sequential contract), parties 1..threads simulate.
-template <typename W, typename SimulateFn>
-void stream_shards(const RoundTargetT<W>& prototype,
-                   detail::LanePool<W>& pool, WorkerPool& workers,
-                   const CampaignOptions& options, std::size_t pt_stride,
-                   std::size_t sample_width, SimulateFn&& simulate,
-                   const TraceSink& sink) {
+// The one ordered-emission driver, behind stream(), stream_sampled() and
+// record(): simulates every shard (`kind` data) and hands each to `sink`
+// in canonical shard order on the calling thread, so the sink never runs
+// concurrently with itself. Shards go in double-buffered waves: each
+// WorkerPool::run of threads + 1 parties simulates wave k + 1 into one
+// slot set on parties 1..threads while party 0 — the calling thread —
+// emits wave k from the other set. The pool's join is the only hand-off,
+// so a sink or worker exception propagates through it after at most one
+// wave of extra simulation, and the slots' buffers are recycled from
+// wave to wave, so steady-state streaming does not allocate.
+template <typename W>
+void stream_waves(const RoundTargetT<W>& prototype, detail::LanePool<W>& pool,
+                  WorkerPool& workers, const CampaignOptions& options,
+                  TraceDataKind kind, const TraceSink& sink) {
   const ShardLayout layout = layout_for(options);
-  if (layout.num_shards == 0) return;
-  const std::size_t threads = resolve_threads(options, layout.num_shards);
+  const std::size_t stride = prototype.round().state_bytes();
+  const bool scalar = kind == TraceDataKind::kScalar;
+  const std::size_t levels = scalar ? 0 : prototype.num_levels();
+  const std::size_t threads =
+      std::min(resolve_thread_count(options.num_threads), layout.num_shards);
   if (threads <= 1) {
-    WorkerCtx<W> ctx(prototype, pool);
-    ctx.ensure_buffers(layout.shard_size, pt_stride, sample_width);
+    WorkerLease<W> lease(prototype, pool);
+    ShardBuffers slot;
     for (std::size_t s = 0; s < layout.num_shards; ++s) {
-      simulate(ctx.target(), s, ctx.pts.data(), ctx.samples.data());
-      sink(ctx.pts.data(), ctx.samples.data(), layout.count(s));
+      slot.ensure(layout.count(s), stride, scalar, levels);
+      simulate_shard(lease.target(), options, layout, s, kind,
+                     slot.pts.data(), slot.data(kind));
+      sink(slot.pts.data(), slot.data(kind), layout.count(s));
     }
     return;
   }
 
-  struct alignas(64) Slot {
-    std::vector<std::uint8_t> pts;
-    std::vector<double> samples;
-    std::size_t count = 0;
-    bool ready = false;
-  };
-  const std::size_t window =
-      std::min(layout.num_shards, 2 * threads + 2);
-  std::vector<Slot> slots(window);
-  std::mutex mutex;
-  std::condition_variable ready_cv;
-  std::condition_variable space_cv;
-  std::size_t emit = 0;  // written by party 0 only
-  bool failed = false;
-  std::atomic<std::size_t> next{0};
-
-  workers.run(threads + 1, [&](std::size_t party) {
-    if (party == 0) {
-      // Emitter. `scratch` ping-pongs with the ring: the swap hands the
-      // just-emitted shard's buffers back to the slot for the worker of
-      // shard emit + window to refill, and frees the sink call itself
-      // from the lock.
-      Slot scratch;
-      try {
-        while (emit < layout.num_shards) {
-          {
-            std::unique_lock<std::mutex> lock(mutex);
-            ready_cv.wait(
-                lock, [&] { return failed || slots[emit % window].ready; });
-            if (failed) return;
-            std::swap(scratch, slots[emit % window]);
-            slots[emit % window].ready = false;
-          }
-          sink(scratch.pts.data(), scratch.samples.data(), scratch.count);
-          {
-            std::lock_guard<std::mutex> lock(mutex);
-            ++emit;
-          }
-          space_cv.notify_all();
-        }
-      } catch (...) {
-        // A sink failure must release workers stalled on the window; the
-        // pool joins them and rethrows this (the calling party's)
-        // exception first.
-        {
-          std::lock_guard<std::mutex> lock(mutex);
-          failed = true;
-        }
-        space_cv.notify_all();
-        throw;
+  const std::size_t wave = kWaveShardsPerThread * threads;
+  const std::size_t num_waves = (layout.num_shards + wave - 1) / wave;
+  std::vector<ShardBuffers> slots[2];
+  for (std::size_t k = 0; k <= num_waves; ++k) {
+    const std::size_t first = k * wave;
+    const std::size_t fill =
+        k < num_waves ? std::min(wave, layout.num_shards - first) : 0;
+    std::vector<ShardBuffers>& filling = slots[k % 2];
+    if (filling.size() < fill) filling.resize(fill);
+    const auto emit_previous = [&] {
+      if (k == 0) return;
+      const std::size_t begin = first - wave;
+      for (std::size_t s = begin; s < std::min(first, layout.num_shards);
+           ++s) {
+        ShardBuffers& slot = slots[(k - 1) % 2][s - begin];
+        sink(slot.pts.data(), slot.data(kind), layout.count(s));
       }
-      return;
-    }
-    try {
-      WorkerLease<W> lease(prototype, pool);
-      for (std::size_t s = next.fetch_add(1); s < layout.num_shards;
-           s = next.fetch_add(1)) {
-        Slot* slot = nullptr;
-        {
-          std::unique_lock<std::mutex> lock(mutex);
-          space_cv.wait(lock, [&] { return failed || s < emit + window; });
-          if (failed) return;
-          slot = &slots[s % window];
-        }
-        // Between the space_cv hand-off and the ready publication this
-        // worker owns the slot exclusively — simulate straight into it.
-        slot->count = layout.count(s);
-        if (slot->pts.size() < slot->count * pt_stride) {
-          slot->pts.resize(slot->count * pt_stride);
-        }
-        if (slot->samples.size() < slot->count * sample_width) {
-          slot->samples.resize(slot->count * sample_width);
-        }
-        simulate(lease.target(), s, slot->pts.data(), slot->samples.data());
-        {
-          std::lock_guard<std::mutex> lock(mutex);
-          slot->ready = true;
-        }
-        ready_cv.notify_all();
-      }
-    } catch (...) {
-      {
-        std::lock_guard<std::mutex> lock(mutex);
-        failed = true;
-      }
-      ready_cv.notify_all();
-      space_cv.notify_all();
-      throw;
-    }
-  });
+    };
+    parallel_for(
+        workers, threads, fill,
+        [&] { return WorkerLease<W>(prototype, pool); },
+        [&](WorkerLease<W>& lease, std::size_t i) {
+          const std::size_t s = first + i;
+          ShardBuffers& slot = filling[i];
+          slot.ensure(layout.count(s), stride, scalar, levels);
+          simulate_shard(lease.target(), options, layout, s, kind,
+                         slot.pts.data(), slot.data(kind));
+        },
+        emit_previous);
+  }
 }
 
 // Lazily derives the width-W variant of the engine's 64-lane prototype
@@ -543,13 +399,15 @@ TraceSet run_campaign(const RoundTargetT<W>& prototype,
   traces.samples.resize(options.num_traces);
   // Shards map to disjoint slices of the canonical trace order, so workers
   // simulate straight into the final TraceSet with no ordering hand-off.
-  run_pool(prototype, pool, workers, layout,
-           resolve_threads(options, layout.num_shards),
-           [&](WorkerCtx<W>& ctx, std::size_t s) {
-             simulate_shard(ctx.target(), options, layout, s,
-                            traces.plaintexts.data() + layout.start(s) * stride,
-                            traces.samples.data() + layout.start(s));
-           });
+  parallel_for(
+      workers, options.num_threads, layout.num_shards,
+      [&] { return WorkerLease<W>(prototype, pool); },
+      [&](WorkerLease<W>& lease, std::size_t s) {
+        simulate_shard(lease.target(), options, layout, s,
+                       TraceDataKind::kScalar,
+                       traces.plaintexts.data() + layout.start(s) * stride,
+                       traces.samples.data() + layout.start(s));
+      });
   return traces;
 }
 
@@ -558,10 +416,9 @@ TraceSet run_campaign(const RoundTargetT<W>& prototype,
 // set of distinguishers. Per shard the worker simulates the trace data
 // each data kind needs (scalar and/or time-resolved — both streams are
 // exactly what the single-kind campaigns generate, so sharing a campaign
-// never changes a result), extracts sub-plaintexts once per distinct
-// attacked instance, and hands every distinguisher's per-shard
-// accumulator its block: ONE virtual dispatch per distinguisher per
-// shard, per-trace loops devirtualized inside the concrete accumulators.
+// never changes a result) and hands it to the shard feed, the per-shard
+// code replay runs too: ONE virtual dispatch per distinguisher per shard,
+// per-trace loops devirtualized inside the concrete accumulators.
 // Unordered distinguishers reduce through the fixed-shape binary merge
 // tree (shape a function of the shard count only); ordered ones (MTD)
 // through a strict left fold in canonical shard order. Either way the
@@ -573,39 +430,19 @@ bool run_distinguishers_impl(const RoundTargetT<W>& prototype,
                              const CampaignManifest& manifest,
                              std::span<Distinguisher* const> distinguishers,
                              const CampaignPersistence& persist) {
-  const RoundSpec& round = prototype.round();
   const ShardLayout layout = layout_for(options);
-  const std::size_t threads = resolve_threads(options, layout.num_shards);
-  const std::size_t stride = round.state_bytes();
+  const std::size_t stride = prototype.round().state_bytes();
   const std::size_t levels = prototype.num_levels();
-
-  bool any_scalar = false;
-  bool any_sampled = false;
-  for (Distinguisher* d : distinguishers) {
-    if (d->data_kind() == TraceDataKind::kScalar) {
-      any_scalar = true;
-    } else {
-      any_sampled = true;
-    }
-  }
-
-  // Sub-plaintext extraction slots, deduplicated: distinguishers attacking
-  // the same instance share one extraction per shard.
-  std::vector<std::size_t> slot_sbox;                     // slot -> instance
-  std::vector<std::size_t> slot_of(distinguishers.size());  // d -> slot
-  for (std::size_t d = 0; d < distinguishers.size(); ++d) {
-    const std::size_t index = distinguishers[d]->sbox_index();
-    const auto it = std::find(slot_sbox.begin(), slot_sbox.end(), index);
-    slot_of[d] = static_cast<std::size_t>(it - slot_sbox.begin());
-    if (it == slot_sbox.end()) slot_sbox.push_back(index);
-  }
+  const ShardFeed feed(prototype.round(), distinguishers);
+  const bool scalar = feed.consumes(TraceDataKind::kScalar);
+  const bool sampled = feed.consumes(TraceDataKind::kSampled);
 
   // states[d][s]: distinguisher d's accumulator for shard s. Workers only
   // touch their own shard's states — distinct vector elements — so the
   // matrix needs no locking. The accumulators themselves are constructed
-  // lazily BY the worker that runs the shard (below), not serially up
-  // front: with thousands of shards the upfront loop was serial work on
-  // the caller, and consecutive heap allocations from one thread pack
+  // lazily BY the worker that runs the shard (in the feed), not serially
+  // up front: with thousands of shards the upfront loop was serial work
+  // on the caller, and consecutive heap allocations from one thread pack
   // accumulators of different shards into shared cache lines, which the
   // workers then dirty from different cores. Worker-side construction
   // spreads the allocations over the workers' own malloc arenas, killing
@@ -616,45 +453,39 @@ bool run_distinguishers_impl(const RoundTargetT<W>& prototype,
   }
 
   const auto accumulate = [&](const std::vector<std::size_t>& work) {
-    run_pool_list(
-      prototype, pool, workers, work, threads,
-      [&](WorkerCtx<W>& ctx, std::size_t s) {
-        for (std::size_t d = 0; d < distinguishers.size(); ++d) {
-          states[d][s] = distinguishers[d]->make_shard_accumulator();
-        }
-        ctx.ensure_attack_buffers(layout.shard_size, stride, any_scalar,
-                                  any_sampled ? levels : 0, slot_sbox.size());
-        const std::size_t count = layout.count(s);
-        // A mixed campaign simulates the shard once per data kind; the
-        // plaintext stream is regenerated identically (same counter-derived
-        // seed) and each kind draws its noise exactly as its single-kind
-        // campaign would, so both blocks match the standalone paths bit
-        // for bit.
-        if (any_scalar) {
-          simulate_shard(ctx.target(), options, layout, s, ctx.pts.data(),
-                         ctx.samples.data());
-        }
-        if (any_sampled) {
-          simulate_shard_sampled(ctx.target(), options, layout, s,
-                                 ctx.pts.data(), ctx.rows.data());
-        }
-        for (std::size_t slot = 0; slot < slot_sbox.size(); ++slot) {
-          round.sub_words(ctx.pts.data(), count, slot_sbox[slot],
-                          ctx.sub_pts.data() + slot * layout.shard_size);
-        }
-        for (std::size_t d = 0; d < distinguishers.size(); ++d) {
-          const bool scalar =
-              distinguishers[d]->data_kind() == TraceDataKind::kScalar;
-          ShardBlock block;
-          block.start = layout.start(s);
-          block.sub_pts =
-              ctx.sub_pts.data() + slot_of[d] * layout.shard_size;
-          block.data = scalar ? ctx.samples.data() : ctx.rows.data();
-          block.width = scalar ? 1 : levels;
-          block.count = count;
-          states[d][s]->accumulate(block);
-        }
-      });
+    parallel_for(
+        workers, options.num_threads, work.size(),
+        [&] { return WorkerCtx<W>(prototype, pool); },
+        [&](WorkerCtx<W>& ctx, std::size_t k) {
+          const std::size_t s = work[k];
+          ShardBuffers& buffers = ctx.buffers;
+          buffers.ensure(layout.count(s), stride, scalar,
+                         sampled ? levels : 0);
+          // A mixed campaign simulates the shard once per data kind; the
+          // plaintext stream is regenerated identically (same
+          // counter-derived seed) and each kind draws its noise exactly
+          // as its single-kind campaign would, so both blocks match the
+          // standalone paths bit for bit.
+          if (scalar) {
+            simulate_shard(ctx.lease.target(), options, layout, s,
+                           TraceDataKind::kScalar, buffers.pts.data(),
+                           buffers.samples.data());
+          }
+          if (sampled) {
+            simulate_shard(ctx.lease.target(), options, layout, s,
+                           TraceDataKind::kSampled, buffers.pts.data(),
+                           buffers.rows.data());
+          }
+          ShardTraces traces;
+          traces.shard = s;
+          traces.start = layout.start(s);
+          traces.count = layout.count(s);
+          traces.pts = buffers.pts.data();
+          traces.scalar = buffers.samples.data();
+          traces.rows = buffers.rows.data();
+          traces.levels = levels;
+          feed.feed(traces, states, ctx.sub_pts);
+        });
   };
 
   // The persistence wrapper (resume, wave checkpoints, range splits) is a
@@ -667,7 +498,7 @@ bool run_distinguishers_impl(const RoundTargetT<W>& prototype,
     return false;
   }
   reduce_and_finalize_distinguishers(distinguishers, states, workers,
-                                     threads);
+                                     options.num_threads);
   return true;
 }
 
@@ -706,36 +537,22 @@ TraceSet TraceEngine::run(const CampaignOptions& options) {
 void TraceEngine::stream(const CampaignOptions& options,
                          const TraceSink& sink) {
   validate_key(round(), options);
-  const ShardLayout layout = layout_for(options);
   with_lane(target_, *pools_, options,
             [&](const auto& prototype, auto& pool) {
-              stream_shards(prototype, pool, pools_->workers, options,
-                            round().state_bytes(), 1,
-                            [&](auto& target, std::size_t s, std::uint8_t* pts,
-                                double* samples) {
-                              simulate_shard(target, options, layout, s, pts,
-                                             samples);
-                            },
-                            sink);
+              stream_waves(prototype, pool, pools_->workers, options,
+                           TraceDataKind::kScalar, sink);
             });
 }
 
 void TraceEngine::stream_sampled(const CampaignOptions& options,
-                                 const SampledTraceSink& sink) {
+                                 const TraceSink& sink) {
   validate_key(round(), options);
   SABLE_REQUIRE(target_.num_levels() > 0,
                 "time-resolved campaigns need at least one logic level");
-  const ShardLayout layout = layout_for(options);
   with_lane(target_, *pools_, options,
             [&](const auto& prototype, auto& pool) {
-              stream_shards(prototype, pool, pools_->workers, options,
-                            round().state_bytes(), target_.num_levels(),
-                            [&](auto& target, std::size_t s, std::uint8_t* pts,
-                                double* rows) {
-                              simulate_shard_sampled(target, options, layout,
-                                                     s, pts, rows);
-                            },
-                            sink);
+              stream_waves(prototype, pool, pools_->workers, options,
+                           TraceDataKind::kSampled, sink);
             });
 }
 
@@ -795,10 +612,8 @@ void TraceEngine::merge_partials(
   for (const std::string& path : partial_paths) {
     load_campaign_state(path, manifest, distinguishers, states);
   }
-  const ShardLayout layout = layout_for(options);
-  reduce_and_finalize_distinguishers(
-      distinguishers, states, pools_->workers,
-      resolve_threads(options, layout.num_shards));
+  reduce_and_finalize_distinguishers(distinguishers, states, pools_->workers,
+                                     options.num_threads);
 }
 
 void TraceEngine::record(const CampaignOptions& options, TraceDataKind kind,

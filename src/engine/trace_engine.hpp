@@ -176,16 +176,13 @@ Accumulator merge_shard_tree(std::vector<Accumulator> shards) {
   return std::move(shards.front());
 }
 
-/// Receives (plaintexts, samples, count) blocks as the campaign streams.
+/// Receives (plaintexts, data, count) blocks as the campaign streams.
 /// `plaintexts` holds count * round().state_bytes() packed bytes — one
 /// byte per trace for single-S-box targets, the wide state for rounds
 /// (extract an instance's sub-plaintexts with RoundSpec::sub_words).
+/// `data` holds count summed samples (stream), or count rows of
+/// target().num_levels() samples each (stream_sampled).
 using TraceSink =
-    std::function<void(const std::uint8_t*, const double*, std::size_t)>;
-
-/// Receives (plaintexts, rows, count) blocks of time-resolved traces:
-/// `rows` holds count rows of target().num_levels() samples each.
-using SampledTraceSink =
     std::function<void(const std::uint8_t*, const double*, std::size_t)>;
 
 namespace detail {
@@ -213,17 +210,20 @@ class TraceEngine {
   TraceSet run(const CampaignOptions& options);
 
   /// Runs the campaign without retaining traces: each shard of at most
-  /// campaign_shard_size() traces is simulated bit-parallel (in parallel
-  /// across shards) and handed to `sink` in canonical shard order on the
-  /// calling thread, then its storage is released. In-flight shards are
-  /// bounded, so a slow sink cannot accumulate unbounded buffers.
+  /// campaign_shard_size() traces is simulated bit-parallel and handed to
+  /// `sink` in canonical shard order on the calling thread (the sink
+  /// never runs concurrently with itself). With several threads, shards
+  /// go in double-buffered waves of O(threads) shards: the workers
+  /// simulate the next wave while the calling thread emits the previous
+  /// one, so in-flight storage is two waves however slow the sink, and
+  /// an exception from the sink or a worker propagates to the caller
+  /// after at most one wave of extra simulation.
   void stream(const CampaignOptions& options, const TraceSink& sink);
 
   /// As stream(), but time-resolved: each trace is a row of
   /// target().num_levels() per-logic-level samples. Covers every logic
   /// style (differential, static CMOS, WDDL).
-  void stream_sampled(const CampaignOptions& options,
-                      const SampledTraceSink& sink);
+  void stream_sampled(const CampaignOptions& options, const TraceSink& sink);
 
   /// Drives any set of pluggable distinguishers through ONE simulated
   /// campaign — the generic path every attack campaign below wraps. Per
@@ -266,9 +266,11 @@ class TraceEngine {
                       const std::vector<std::string>& partial_paths);
 
   /// Records the campaign's trace stream to a corpus file at `path`
-  /// (io/corpus.hpp): shards are simulated in parallel and written in
-  /// canonical order, scalar or cycle-sampled per `kind`. The default
-  /// writes the v2 delta+plane+RLE compressed format; pass
+  /// (io/corpus.hpp) through stream() / stream_sampled(): the workers
+  /// simulate the next wave of shards while the calling thread encodes
+  /// and writes the previous one in canonical order, scalar or
+  /// cycle-sampled per `kind`. The default writes the v2
+  /// delta+plane+RLE compressed format; pass
   /// `kCorpusCompressionNone` for raw v2 chunks, and `version = 1` (raw
   /// only) for a backward-compatible v1 file. Whatever the encoding, the
   /// corpus replays into any matching distinguisher set bit-identically

@@ -2,6 +2,11 @@
 
 namespace sable {
 
+std::size_t resolve_thread_count(std::size_t requested) {
+  if (requested != 0) return requested;
+  return std::max(1u, std::thread::hardware_concurrency());
+}
+
 WorkerPool::~WorkerPool() {
   {
     std::lock_guard<std::mutex> lock(mutex_);

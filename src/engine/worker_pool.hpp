@@ -1,4 +1,5 @@
-// Persistent fork-join worker pool for campaign scheduling.
+// Persistent fork-join worker pool for campaign scheduling, and the one
+// dynamic-claim loop every campaign path schedules its shards with.
 //
 // The sharded TraceEngine used to spawn a fresh std::thread set per
 // campaign. For MTD-scale single campaigns that cost vanishes in the
@@ -13,12 +14,16 @@
 // largest party count ever requested and live for the pool's lifetime
 // (the engine's lifetime — EnginePools owns one).
 //
-// Scheduling stays OUTSIDE the pool: bodies claim shards from an atomic
-// counter (or play a fixed role, like the ordered-stream emitter), so
-// the pool itself is a plain barrier with no work-queue of its own and
-// adds nothing to the per-shard hot path.
+// Scheduling stays OUTSIDE the pool: parallel_for() below claims
+// indices from one atomic counter — simulated shards, replayed shards,
+// attack sets, merge-tree merges — and its optional caller role lets
+// the calling thread do other work beside the claiming parties (the
+// stream emitter). The pool itself is a plain barrier with no work
+// queue of its own and adds nothing to the per-shard hot path.
 #pragma once
 
+#include <algorithm>
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -76,5 +81,41 @@ class WorkerPool {
   bool shutdown_ = false;
   std::exception_ptr error_;
 };
+
+/// Worker threads a scheduler resolves `requested` to: the request
+/// itself, or the hardware concurrency (at least 1) for 0.
+std::size_t resolve_thread_count(std::size_t requested);
+
+/// The dynamic-claim loop: runs fn(ctx, i) exactly once for every i in
+/// [0, n) on min(resolve_thread_count(threads), n) claiming parties of
+/// `pool`. Each party builds its own context with make_ctx() (leased
+/// simulators, scratch buffers) and claims indices from one shared atomic
+/// counter, so the claim order is free: fn must only touch its ctx and
+/// index-owned state. Without a caller, a single claiming party runs
+/// inline on the calling thread, in index order.
+///
+/// A non-empty `caller` makes party 0 — the calling thread — run caller()
+/// instead of claiming, concurrently with the claiming parties (alone and
+/// inline when n == 0). Exceptions from any party propagate through
+/// WorkerPool::run after every party has joined, the caller's first.
+template <typename MakeCtx, typename Fn>
+void parallel_for(WorkerPool& pool, std::size_t threads, std::size_t n,
+                  MakeCtx&& make_ctx, Fn&& fn,
+                  const std::function<void()>& caller = {}) {
+  const std::size_t claimers = std::min(resolve_thread_count(threads), n);
+  const std::size_t first = caller ? 1 : 0;
+  if (claimers + first == 0) return;
+  std::atomic<std::size_t> next{0};
+  pool.run(claimers + first, [&](std::size_t party) {
+    if (party < first) {
+      caller();
+      return;
+    }
+    auto ctx = make_ctx();
+    for (std::size_t i = next.fetch_add(1); i < n; i = next.fetch_add(1)) {
+      fn(ctx, i);
+    }
+  });
+}
 
 }  // namespace sable

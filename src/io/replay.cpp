@@ -1,12 +1,10 @@
 #include "io/replay.hpp"
 
-#include <algorithm>
-#include <atomic>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "crypto/round_target.hpp"
+#include "engine/shard_feed.hpp"
 #include "engine/shard_reduce.hpp"
 #include "engine/worker_pool.hpp"
 #include "io/campaign_state.hpp"
@@ -17,21 +15,20 @@ namespace sable {
 
 namespace {
 
-// Sub-plaintext extraction slots, deduplicated per attacked instance —
-// the live driver's exact scheme.
-struct SubSlots {
-  std::vector<std::size_t> sbox;
-  std::vector<std::size_t> of;
-};
+TraceDataKind corpus_data_kind(const CorpusManifest& cm) {
+  return cm.kind == kCorpusKindScalar ? TraceDataKind::kScalar
+                                      : TraceDataKind::kSampled;
+}
 
 // The per-evaluation validation replay performs ONCE up front (the
 // corpus structure itself was already validated when the reader was
 // constructed): spec hash when `check_spec` (SharedCorpus memoizes it
 // across evaluations), stride, and every distinguisher's contract.
-SubSlots validate_for_replay(const CorpusManifest& cm,
-                             const std::string& path, const RoundSpec& round,
-                             std::span<Distinguisher* const> distinguishers,
-                             bool check_spec) {
+// Returns the set's shard feed — the live engine's per-shard code.
+ShardFeed validate_for_replay(const CorpusManifest& cm,
+                              const std::string& path, const RoundSpec& round,
+                              std::span<Distinguisher* const> distinguishers,
+                              bool check_spec) {
   const CampaignManifest& manifest = cm.campaign;
   SABLE_REQUIRE(!distinguishers.empty(),
                 "replay needs at least one distinguisher");
@@ -46,49 +43,38 @@ SubSlots validate_for_replay(const CorpusManifest& cm,
   SABLE_REQUIRE(cm.pt_stride == round.state_bytes(),
                 "corpus plaintext stride must equal the round's packed "
                 "state width");
-  const TraceDataKind kind = cm.kind == kCorpusKindScalar
-                                 ? TraceDataKind::kScalar
-                                 : TraceDataKind::kSampled;
-  SubSlots slots;
-  slots.of.resize(distinguishers.size());
-  for (std::size_t d = 0; d < distinguishers.size(); ++d) {
-    Distinguisher* dist = distinguishers[d];
+  for (Distinguisher* dist : distinguishers) {
     SABLE_REQUIRE(dist != nullptr, "distinguisher must not be null");
     dist->validate(round);
-    SABLE_REQUIRE(dist->data_kind() == kind,
+    SABLE_REQUIRE(dist->data_kind() == corpus_data_kind(cm),
                   "distinguisher's trace data kind does not match the "
                   "corpus (scalar vs cycle-sampled)");
-    const std::size_t index = dist->sbox_index();
-    const auto it = std::find(slots.sbox.begin(), slots.sbox.end(), index);
-    slots.of[d] = static_cast<std::size_t>(it - slots.sbox.begin());
-    if (it == slots.sbox.end()) slots.sbox.push_back(index);
   }
-  return slots;
+  return ShardFeed(round, distinguishers);
 }
 
-// One shard block into one attack set's accumulators — identical to the
-// live engine's per-shard feed, whatever storage backs `view`.
-void accumulate_shard(const RoundSpec& round,
-                      std::span<Distinguisher* const> distinguishers,
-                      const SubSlots& slots, const CorpusShardView& view,
-                      std::size_t s, std::size_t shard_size, std::size_t width,
-                      std::vector<std::uint8_t>& sub_pts, ShardStates& states) {
-  for (std::size_t d = 0; d < distinguishers.size(); ++d) {
-    states[d][s] = distinguishers[d]->make_shard_accumulator();
+// Shard s of a corpus as the feed consumes it: the samples go in the
+// slot of the corpus's data kind.
+ShardTraces corpus_traces(const CorpusManifest& cm, std::size_t s,
+                          const CorpusShardView& view) {
+  ShardTraces traces;
+  traces.shard = s;
+  traces.start = s * static_cast<std::size_t>(cm.campaign.shard_size);
+  traces.count = view.count;
+  traces.pts = view.pts;
+  if (corpus_data_kind(cm) == TraceDataKind::kScalar) {
+    traces.scalar = view.samples;
+  } else {
+    traces.rows = view.samples;
+    traces.levels = static_cast<std::size_t>(cm.sample_width);
   }
-  for (std::size_t slot = 0; slot < slots.sbox.size(); ++slot) {
-    round.sub_words(view.pts, view.count, slots.sbox[slot],
-                    sub_pts.data() + slot * shard_size);
-  }
-  for (std::size_t d = 0; d < distinguishers.size(); ++d) {
-    ShardBlock block;
-    block.start = s * shard_size;
-    block.sub_pts = sub_pts.data() + slots.of[d] * shard_size;
-    block.data = view.samples;
-    block.width = width;
-    block.count = view.count;
-    states[d][s]->accumulate(block);
-  }
+  return traces;
+}
+
+ShardStates empty_states(std::size_t distinguishers, std::size_t shards) {
+  ShardStates states(distinguishers);
+  for (auto& row : states) row.resize(shards);
+  return states;
 }
 
 // A fetched shard: the view plus whatever keeps it alive (a SharedCorpus
@@ -98,64 +84,43 @@ struct FetchedShard {
   CorpusShardView view;
 };
 
+// A replay worker's reusable buffers.
+struct ReplayCtx {
+  std::vector<std::uint8_t> sub_pts;
+  CorpusDecodeScratch scratch;
+};
+
 // The common replay driver. `fetch(s, scratch)` produces shard s's
 // traces; everything else — wave scheduling, checkpointing, threading,
 // reduction — is storage-agnostic.
 template <typename Fetch>
-bool replay_impl(const CorpusManifest& cm, const RoundSpec& round,
+bool replay_impl(const CorpusManifest& cm,
                  std::span<Distinguisher* const> distinguishers,
-                 const SubSlots& slots, const CampaignPersistence& persist,
+                 const ShardFeed& feed, const CampaignPersistence& persist,
                  std::size_t num_threads, WorkerPool* pool, Fetch&& fetch) {
   const CampaignManifest& manifest = cm.campaign;
-  ShardStates states(distinguishers.size());
-  for (auto& row : states) {
-    row.resize(static_cast<std::size_t>(manifest.num_shards));
-  }
-  const std::size_t shard_size =
-      static_cast<std::size_t>(manifest.shard_size);
-  const std::size_t width = static_cast<std::size_t>(cm.sample_width);
-
+  ShardStates states =
+      empty_states(distinguishers.size(),
+                   static_cast<std::size_t>(manifest.num_shards));
   WorkerPool local_pool;
   WorkerPool& workers = pool ? *pool : local_pool;
-  const std::size_t max_threads =
-      num_threads != 0 ? num_threads
-                       : std::max(1u, std::thread::hardware_concurrency());
 
   const auto accumulate = [&](const std::vector<std::size_t>& work) {
-    const std::size_t threads =
-        std::max<std::size_t>(1, std::min(max_threads, work.size()));
-    std::atomic<std::size_t> next{0};
-    const auto run_one = [&](std::vector<std::uint8_t>& sub_pts,
-                             CorpusDecodeScratch& scratch, std::size_t s) {
-      const FetchedShard fetched = fetch(s, scratch);
-      accumulate_shard(round, distinguishers, slots, fetched.view, s,
-                       shard_size, width, sub_pts, states);
-    };
-    if (threads <= 1) {
-      std::vector<std::uint8_t> sub_pts(shard_size * slots.sbox.size());
-      CorpusDecodeScratch scratch;
-      for (std::size_t s : work) run_one(sub_pts, scratch, s);
-      return;
-    }
-    workers.run(threads, [&](std::size_t) {
-      std::vector<std::uint8_t> sub_pts(shard_size * slots.sbox.size());
-      CorpusDecodeScratch scratch;
-      for (std::size_t k = next.fetch_add(1); k < work.size();
-           k = next.fetch_add(1)) {
-        run_one(sub_pts, scratch, work[k]);
-      }
-    });
+    parallel_for(
+        workers, num_threads, work.size(), [] { return ReplayCtx{}; },
+        [&](ReplayCtx& ctx, std::size_t k) {
+          const std::size_t s = work[k];
+          const FetchedShard fetched = fetch(s, ctx.scratch);
+          feed.feed(corpus_traces(cm, s, fetched.view), states, ctx.sub_pts);
+        });
   };
 
   if (!run_persisted_waves(manifest, distinguishers, states, persist,
                            accumulate)) {
     return false;
   }
-  reduce_and_finalize_distinguishers(
-      distinguishers, states, workers,
-      std::max<std::size_t>(
-          1, std::min(max_threads,
-                      static_cast<std::size_t>(manifest.num_shards))));
+  reduce_and_finalize_distinguishers(distinguishers, states, workers,
+                                     num_threads);
   return true;
 }
 
@@ -165,10 +130,10 @@ bool replay_distinguishers(const CorpusReader& corpus, const RoundSpec& round,
                            std::span<Distinguisher* const> distinguishers,
                            const CampaignPersistence& persist,
                            std::size_t num_threads, WorkerPool* pool) {
-  const SubSlots slots = validate_for_replay(
+  const ShardFeed feed = validate_for_replay(
       corpus.manifest(), corpus.path(), round, distinguishers,
       /*check_spec=*/true);
-  return replay_impl(corpus.manifest(), round, distinguishers, slots, persist,
+  return replay_impl(corpus.manifest(), distinguishers, feed, persist,
                      num_threads, pool,
                      [&](std::size_t s, CorpusDecodeScratch& scratch) {
                        return FetchedShard{{}, corpus.read_shard(s, scratch)};
@@ -181,11 +146,11 @@ bool replay_distinguishers(SharedCorpus& corpus, const RoundSpec& round,
                            std::size_t num_threads, WorkerPool* pool) {
   const std::uint64_t hash = round_spec_hash(round);
   const bool check_spec = !corpus.spec_validated(hash);
-  const SubSlots slots =
+  const ShardFeed feed =
       validate_for_replay(corpus.manifest(), corpus.reader().path(), round,
                           distinguishers, check_spec);
   if (check_spec) corpus.note_spec_validated(hash);
-  return replay_impl(corpus.manifest(), round, distinguishers, slots, persist,
+  return replay_impl(corpus.manifest(), distinguishers, feed, persist,
                      num_threads, pool,
                      [&](std::size_t s, CorpusDecodeScratch&) {
                        SharedCorpus::Lease lease = corpus.acquire(s);
@@ -201,60 +166,40 @@ void replay_shared(SharedCorpus& corpus, const RoundSpec& round,
   const CorpusManifest& cm = corpus.manifest();
   const std::uint64_t hash = round_spec_hash(round);
   const bool check_spec = !corpus.spec_validated(hash);
-  std::vector<SubSlots> slots;
-  slots.reserve(sets.size());
+  std::vector<ShardFeed> feeds;
+  feeds.reserve(sets.size());
   for (std::size_t k = 0; k < sets.size(); ++k) {
-    slots.push_back(validate_for_replay(cm, corpus.reader().path(), round,
+    feeds.push_back(validate_for_replay(cm, corpus.reader().path(), round,
                                         sets[k], check_spec && k == 0));
   }
   if (check_spec) corpus.note_spec_validated(hash);
 
   const std::size_t num_shards =
       static_cast<std::size_t>(cm.campaign.num_shards);
-  const std::size_t shard_size =
-      static_cast<std::size_t>(cm.campaign.shard_size);
-  const std::size_t width = static_cast<std::size_t>(cm.sample_width);
-  std::vector<ShardStates> states(sets.size());
-  for (std::size_t k = 0; k < sets.size(); ++k) {
-    states[k].resize(sets[k].size());
-    for (auto& row : states[k]) row.resize(num_shards);
+  std::vector<ShardStates> states;
+  states.reserve(sets.size());
+  for (const auto& set : sets) {
+    states.push_back(empty_states(set.size(), num_shards));
   }
-
   WorkerPool local_pool;
   WorkerPool& workers = pool ? *pool : local_pool;
-  const std::size_t max_threads =
-      num_threads != 0 ? num_threads
-                       : std::max(1u, std::thread::hardware_concurrency());
 
   // Workers claim whole sets; the shard loop inside streams every chunk
   // through the shared cache, so concurrent sets decode each chunk once
   // between them instead of once each.
-  const std::size_t threads =
-      std::max<std::size_t>(1, std::min(max_threads, sets.size()));
-  std::atomic<std::size_t> next{0};
-  const auto run_set = [&](std::size_t k) {
-    std::vector<std::uint8_t> sub_pts(shard_size * slots[k].sbox.size());
-    for (std::size_t s = 0; s < num_shards; ++s) {
-      const SharedCorpus::Lease lease = corpus.acquire(s);
-      accumulate_shard(round, sets[k], slots[k], lease.view(), s, shard_size,
-                       width, sub_pts, states[k]);
-    }
-  };
-  if (threads <= 1) {
-    for (std::size_t k = 0; k < sets.size(); ++k) run_set(k);
-  } else {
-    workers.run(threads, [&](std::size_t) {
-      for (std::size_t k = next.fetch_add(1); k < sets.size();
-           k = next.fetch_add(1)) {
-        run_set(k);
-      }
-    });
-  }
-  const std::size_t reduce_threads =
-      std::max<std::size_t>(1, std::min(max_threads, num_shards));
+  parallel_for(
+      workers, num_threads, sets.size(),
+      [] { return std::vector<std::uint8_t>{}; },
+      [&](std::vector<std::uint8_t>& sub_pts, std::size_t k) {
+        for (std::size_t s = 0; s < num_shards; ++s) {
+          const SharedCorpus::Lease lease = corpus.acquire(s);
+          feeds[k].feed(corpus_traces(cm, s, lease.view()), states[k],
+                        sub_pts);
+        }
+      });
   for (std::size_t k = 0; k < sets.size(); ++k) {
     reduce_and_finalize_distinguishers(sets[k], states[k], workers,
-                                       reduce_threads);
+                                       num_threads);
   }
 }
 

@@ -12,18 +12,21 @@
 //  * one-pass multi-selector campaigns match N independent re-simulated
 //    campaigns bit for bit;
 //  * mixing data kinds in one run_distinguishers call changes nothing;
+//  * the shard feed rejects a single-byte round's out-of-range plaintext;
 //  * campaign_shard_size clamps small block sizes to one 64-lane word.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "dpa/distinguisher.hpp"
 #include "dpa/second_order.hpp"
 #include "dpa_reference.hpp"
+#include "engine/shard_feed.hpp"
 #include "engine/trace_engine.hpp"
 #include "util/cpu_dispatch.hpp"
 #include "power/stats.hpp"
@@ -390,6 +393,39 @@ TEST(DistinguisherPipelineTest, MixedKindsShareOneCampaignUnchanged) {
 }
 
 // ---- validation and shard-size clamping -----------------------------------
+
+// A round of one byte-wide S-box hands its plaintexts straight through as
+// the sub-plaintexts, so a byte outside the S-box input range (only a
+// corrupt or foreign corpus carries one) reaches the accumulators and is
+// rejected, where a sub_words pass would have masked it silently.
+TEST(ShardFeedTest, SingleByteRoundRejectsOutOfRangePlaintext) {
+  const RoundSpec round = present_round(1, LogicStyle::kStaticCmos);
+  ASSERT_EQ(round.state_bytes(), 1u);  // 4-bit S-box in a one-byte state
+  CpaDistinguisher cpa(round.sboxes[0],
+                       AttackSelector{.model = PowerModel::kHammingWeight});
+  Distinguisher* const list[] = {&cpa};
+  const ShardFeed feed(round, list);
+  std::vector<std::uint8_t> pts = {0x3, 0xA, 0x1F, 0x7};
+  const std::vector<double> samples = {1.0, 2.0, 4.0, 3.0};
+  ShardStates states(1);
+  states[0].resize(1);
+  ShardTraces traces;
+  traces.count = pts.size();
+  traces.pts = pts.data();
+  traces.scalar = samples.data();
+  std::vector<std::uint8_t> scratch;
+  try {
+    feed.feed(traces, states, scratch);
+    ADD_FAILURE() << "out-of-range plaintext 0x1F was accepted";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find("plaintext out of range"),
+              std::string::npos)
+        << e.what();
+  }
+  pts[2] = 0xF;
+  EXPECT_NO_THROW(feed.feed(traces, states, scratch));
+  EXPECT_NE(states[0][0], nullptr);
+}
 
 TEST(DistinguisherPipelineTest, ValidatesSpecAgainstRound) {
   const RoundSpec round = present_round(1, LogicStyle::kStaticCmos);
