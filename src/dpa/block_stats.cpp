@@ -1,16 +1,47 @@
-// Portable-tier instantiations of the block-statistics kernels plus the
-// per-tier kernel-set selection. The AVX2/AVX-512 instantiations compile
-// in src/simd/kernels_avx2.cpp / kernels_avx512.cpp (inside their
-// #pragma GCC target regions) so this TU stays base-architecture clean.
+// Portable-tier instantiations of the block-statistics kernels, the
+// per-tier kernel-set selection and the per-thread block scratch. The
+// AVX2/AVX-512 instantiations compile in src/simd/kernels_avx2.cpp /
+// kernels_avx512.cpp (inside their #pragma GCC target regions) so this
+// TU stays base-architecture clean.
 #include "dpa/block_stats.hpp"
 
 #include "dpa/block_stats_impl.hpp"
+#include "util/error.hpp"
 
 namespace sable {
 
 namespace detail {
 
 SABLE_INSTANTIATE_BLOCK_STATS(0)
+
+void require_block_pts(const std::uint64_t* counts,
+                       std::size_t num_plaintexts) {
+  for (std::size_t p = num_plaintexts; p < kBlockPts; ++p) {
+    SABLE_REQUIRE(counts[p] == 0, "plaintext out of range");
+  }
+}
+
+BlockScratch& block_scratch() {
+  thread_local BlockScratch scratch;
+  return scratch;
+}
+
+BlockScratch& block_scratch(std::size_t width, std::size_t num_guesses) {
+  BlockScratch& scratch = block_scratch();
+  scratch.counts.resize(kBlockPts);
+  scratch.sums.resize(kBlockPts * width);
+  scratch.shifts.resize(width);
+  scratch.sum_sq.resize(width);
+  scratch.sum_h.resize(num_guesses);
+  scratch.sum_h2.resize(num_guesses);
+  scratch.cnt0.resize(num_guesses);
+  scratch.cnt1.resize(num_guesses);
+  scratch.r.resize(width * num_guesses);
+  scratch.col_sum.resize(width);
+  scratch.col_mean.resize(width);
+  scratch.col_m2.resize(width);
+  return scratch;
+}
 
 }  // namespace detail
 
@@ -21,6 +52,7 @@ constexpr BlockStatKernels tier_kernels() {
   return BlockStatKernels{
       &detail::block_histogram_scalar<kTier>,
       &detail::block_histogram_sampled<kTier>,
+      &detail::block_histogram_pairs<kTier>,
       &detail::block_contract_counts<kTier>,
       &detail::block_contract_sums<kTier>,
       &detail::block_contract_dom<kTier>,

@@ -12,7 +12,9 @@
 // One O(count) histogram pass with no guess loop, then one dense
 // contraction against the shared prediction table per block — a G×P GEMV
 // for scalar CPA, a G×P · P×L GEMM for time-resolved CPA, partitioned
-// counts/sums for DoM. The kernels below are those two stages.
+// counts/sums for DoM, and for second-order CPA the same GEMM over its
+// per-plaintext level and centred-product bins (L + L(L−1)/2 wide). The
+// kernels below are those two stages.
 //
 // Numerics: samples are accumulated relative to a caller-chosen shift
 // (the block's first sample) so the per-plaintext sums carry the
@@ -42,6 +44,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "util/cpu_dispatch.hpp"
 #include "util/lane_word.hpp"
@@ -76,6 +79,26 @@ void block_histogram_sampled(const std::uint8_t* pts, const double* rows,
                              std::size_t count, std::size_t width,
                              const double* shifts, std::uint64_t* counts,
                              double* sums, double* sum_sq);
+
+/// Second-order pair pass (StreamingSecondOrderCpa): centres every
+/// sample as dx_l = (row[l] - shifts[l]) - centre[l] — shift first, so a
+/// constant column centres to an exact 0.0 — and bins per plaintext, in
+/// bins[p*(width+num_pairs) + k], Σ dx_l (k = l < width) and Σ dx_i·dx_j
+/// (k = width + q for pair q = (pair_first[q], pair_second[q])). Also
+/// accumulates the guess-free sums sum_sq[l] = Σ dx_l², m3_iij[q] =
+/// Σ dx_i·(dx_i dx_j), m3_ijj[q] = Σ (dx_i dx_j)·dx_j and m4[q] =
+/// Σ (dx_i dx_j)². Every output is zeroed first and every chain runs
+/// sequentially in trace order; the loops vectorize across the level and
+/// pair axes only. `dx` is caller scratch of `width` doubles.
+template <int kTier>
+void block_histogram_pairs(const std::uint8_t* pts, const double* rows,
+                           std::size_t count, std::size_t width,
+                           const double* shifts, const double* centre,
+                           const std::uint32_t* pair_first,
+                           const std::uint32_t* pair_second,
+                           std::size_t num_pairs, double* dx, double* bins,
+                           double* sum_sq, double* m3_iij, double* m3_ijj,
+                           double* m4);
 
 /// Count contraction: sum_h[g] = Σ_p counts[p]·pred[p*G+g] and
 /// sum_h2[g] = Σ_p counts[p]·pred[p*G+g]², zeroing the outputs first.
@@ -116,6 +139,11 @@ void block_contract_dom(const std::uint8_t* pred_bit,
   extern template void block_histogram_sampled<TIER>(                         \
       const std::uint8_t*, const double*, std::size_t, std::size_t,           \
       const double*, std::uint64_t*, double*, double*);                       \
+  extern template void block_histogram_pairs<TIER>(                           \
+      const std::uint8_t*, const double*, std::size_t, std::size_t,           \
+      const double*, const double*, const std::uint32_t*,                     \
+      const std::uint32_t*, std::size_t, double*, double*, double*, double*,  \
+      double*, double*);                                                      \
   extern template void block_contract_counts<TIER>(                           \
       const double*, const std::uint64_t*, std::size_t, std::size_t,          \
       double*, double*);                                                      \
@@ -144,6 +172,11 @@ struct BlockStatKernels {
   void (*histogram_sampled)(const std::uint8_t*, const double*, std::size_t,
                             std::size_t, const double*, std::uint64_t*,
                             double*, double*);
+  void (*histogram_pairs)(const std::uint8_t*, const double*, std::size_t,
+                          std::size_t, const double*, const double*,
+                          const std::uint32_t*, const std::uint32_t*,
+                          std::size_t, double*, double*, double*, double*,
+                          double*, double*);
   void (*contract_counts)(const double*, const std::uint64_t*, std::size_t,
                           std::size_t, double*, double*);
   void (*contract_sums)(const double*, const double*, const std::uint64_t*,
@@ -156,5 +189,54 @@ struct BlockStatKernels {
 /// Widest kernel set the given tier may execute (every body computes
 /// bit-identical results; the tiers differ only in vector width).
 const BlockStatKernels& block_stat_kernels(DispatchTier tier);
+
+namespace detail {
+
+/// The hoisted form of the per-trace range check: the histogram pass
+/// binned every sub-plaintext byte into one of the kBlockPts slots, so
+/// one sweep over the slots past num_plaintexts validates the whole
+/// block. Throws InvalidArgument on an out-of-range plaintext.
+void require_block_pts(const std::uint64_t* counts,
+                       std::size_t num_plaintexts);
+
+/// Working set of the block passes. Per thread rather than per
+/// accumulator: shard states, MTD snapshots and merged prefixes then
+/// carry only their logical moments, and a worker reuses one set across
+/// every block it accumulates, so the steady state never allocates.
+struct BlockScratch {
+  std::vector<std::uint64_t> counts;  // [kBlockPts]
+  std::vector<double> sums;           // [kBlockPts * width]
+  std::vector<double> shifts;         // [width]
+  std::vector<double> sum_sq;         // [width]
+  std::vector<double> sum_h;          // [num_guesses]  (DoM: sum0)
+  std::vector<double> sum_h2;         // [num_guesses]  (DoM: sum1)
+  std::vector<std::uint64_t> cnt0;    // [num_guesses]  (DoM partitions)
+  std::vector<std::uint64_t> cnt1;    // [num_guesses]
+  std::vector<double> r;              // [width * num_guesses]
+  std::vector<double> col_sum;        // [width]
+  std::vector<double> col_mean;       // [width]
+  std::vector<double> col_m2;         // [width]
+  // The second-order pair pass sizes these itself (dpa/second_order.cpp).
+  std::vector<std::uint32_t> pair_first;   // [pairs]
+  std::vector<std::uint32_t> pair_second;  // [pairs]
+  std::vector<double> centre;              // [levels]
+  std::vector<double> dx;                  // [levels]
+  std::vector<double> bins;                // [kBlockPts * (levels + pairs)]
+  std::vector<double> pred_centred;        // [num_plaintexts * num_guesses]
+  std::vector<double> c2;                  // [levels * levels]
+  std::vector<double> m3_iij;              // [pairs]
+  std::vector<double> m3_ijj;              // [pairs]
+  std::vector<double> m4;                  // [pairs]
+  std::vector<double> fold;                // [2 * (levels + num_guesses)]
+};
+
+/// The calling thread's scratch, as is.
+BlockScratch& block_scratch();
+
+/// The calling thread's scratch with the first-order fields sized for
+/// `width` sample columns and `num_guesses` guesses.
+BlockScratch& block_scratch(std::size_t width, std::size_t num_guesses);
+
+}  // namespace detail
 
 }  // namespace sable

@@ -69,6 +69,69 @@ void block_histogram_sampled(const std::uint8_t* pts, const double* rows,
   }
 }
 
+// One trace of the pair pass, as two loops over independent outputs: the
+// level axis, then the pair axis. Restrict-qualified parameters (restrict
+// on locals does not reach the vectorizer's alias analysis, in particular
+// for the dx gathers) let both vectorize.
+template <int kTier>
+inline void centre_row(const double* __restrict row,
+                       const double* __restrict shifts,
+                       const double* __restrict centre, std::size_t width,
+                       double* __restrict dx, double* __restrict bin,
+                       double* __restrict sum_sq) {
+  for (std::size_t l = 0; l < width; ++l) {
+    const double v = (row[l] - shifts[l]) - centre[l];
+    dx[l] = v;
+    bin[l] += v;
+    sum_sq[l] += v * v;
+  }
+}
+
+template <int kTier>
+inline void accumulate_pairs(const double* __restrict dx,
+                             const std::uint32_t* __restrict pair_first,
+                             const std::uint32_t* __restrict pair_second,
+                             std::size_t num_pairs, double* __restrict bin,
+                             double* __restrict m3_iij,
+                             double* __restrict m3_ijj,
+                             double* __restrict m4) {
+  for (std::size_t q = 0; q < num_pairs; ++q) {
+    const double di = dx[pair_first[q]];
+    const double dj = dx[pair_second[q]];
+    const double prod = di * dj;
+    bin[q] += prod;
+    m3_iij[q] += di * prod;
+    m3_ijj[q] += prod * dj;
+    m4[q] += prod * prod;
+  }
+}
+
+template <int kTier>
+void block_histogram_pairs(const std::uint8_t* pts, const double* rows,
+                           std::size_t count, std::size_t width,
+                           const double* shifts, const double* centre,
+                           const std::uint32_t* pair_first,
+                           const std::uint32_t* pair_second,
+                           std::size_t num_pairs, double* dx, double* bins,
+                           double* sum_sq, double* m3_iij, double* m3_ijj,
+                           double* m4) {
+  const std::size_t bin_width = width + num_pairs;
+  for (std::size_t j = 0; j < kBlockPts * bin_width; ++j) bins[j] = 0.0;
+  for (std::size_t l = 0; l < width; ++l) sum_sq[l] = 0.0;
+  for (std::size_t q = 0; q < num_pairs; ++q) {
+    m3_iij[q] = 0.0;
+    m3_ijj[q] = 0.0;
+    m4[q] = 0.0;
+  }
+  for (std::size_t i = 0; i < count; ++i) {
+    double* b = bins + pts[i] * bin_width;
+    centre_row<kTier>(rows + i * width, shifts, centre, width, dx, b,
+                      sum_sq);
+    accumulate_pairs<kTier>(dx, pair_first, pair_second, num_pairs,
+                            b + width, m3_iij, m3_ijj, m4);
+  }
+}
+
 template <int kTier>
 void block_contract_counts(const double* pred, const std::uint64_t* counts,
                            std::size_t num_pts, std::size_t num_guesses,
@@ -151,6 +214,11 @@ void block_contract_dom(const std::uint8_t* pred_bit,
   template void block_histogram_sampled<TIER>(                                \
       const std::uint8_t*, const double*, std::size_t, std::size_t,           \
       const double*, std::uint64_t*, double*, double*);                       \
+  template void block_histogram_pairs<TIER>(                                  \
+      const std::uint8_t*, const double*, std::size_t, std::size_t,           \
+      const double*, const double*, const std::uint32_t*,                     \
+      const std::uint32_t*, std::size_t, double*, double*, double*, double*,  \
+      double*, double*);                                                      \
   template void block_contract_counts<TIER>(                                  \
       const double*, const std::uint64_t*, std::size_t, std::size_t,          \
       double*, double*);                                                      \

@@ -1,8 +1,11 @@
 #include "dpa/second_order.hpp"
 
+#include <algorithm>
 #include <cmath>
 
+#include "dpa/block_stats.hpp"
 #include "io/serial.hpp"
+#include "util/cpu_dispatch.hpp"
 #include "util/error.hpp"
 
 namespace sable {
@@ -12,8 +15,7 @@ namespace {
 constexpr std::uint32_t kSecondOrderTag = 0x53AB1004;
 
 // Pair p enumerates i < j lexicographically: (0,1), (0,2), …, (1,2), ….
-// The loops below iterate pairs in this order with a running index, so the
-// helper exists only for result() reporting.
+// The loops below iterate pairs in this order with a running index.
 std::size_t pair_count(std::size_t width) {
   return width * (width - 1) / 2;
 }
@@ -29,7 +31,7 @@ StreamingSecondOrderCpa::StreamingSecondOrderCpa(const SboxSpec& spec,
       bit_(bit),
       predictions_(shared_prediction_table(spec, model, bit)) {}
 
-void StreamingSecondOrderCpa::ensure_width(std::size_t width) {
+void StreamingSecondOrderCpa::require_width(std::size_t width) const {
   if (width_ != 0) {
     SABLE_REQUIRE(width == width_,
                   "second-order CPA blocks must keep the row width of the "
@@ -39,6 +41,11 @@ void StreamingSecondOrderCpa::ensure_width(std::size_t width) {
   SABLE_REQUIRE(width >= 2,
                 "second-order CPA needs at least two sample columns to "
                 "form a centered product");
+}
+
+void StreamingSecondOrderCpa::ensure_width(std::size_t width) {
+  require_width(width);
+  if (width_ != 0) return;
   width_ = width;
   num_pairs_ = pair_count(width);
   sums_.mean_x.assign(width_, 0.0);
@@ -52,91 +59,130 @@ void StreamingSecondOrderCpa::ensure_width(std::size_t width) {
   sums_.m3_ijh.assign(num_pairs_ * num_guesses_, 0.0);
 }
 
-StreamingSecondOrderCpa::Sums StreamingSecondOrderCpa::block_sums(
-    const std::uint8_t* pts, const double* rows, std::size_t count) const {
-  const std::size_t L = width_;
-  const std::size_t G = num_guesses_;
-  const double* table = predictions_->data();
-  Sums b;
-  b.n = count;
-  b.mean_x.assign(L, 0.0);
-  b.mean_h.assign(G, 0.0);
-  b.m2_h.assign(G, 0.0);
-  b.c2.assign(L * L, 0.0);
-  b.c_xh.assign(L * G, 0.0);
-  b.m3_iij.assign(num_pairs_, 0.0);
-  b.m3_ijj.assign(num_pairs_, 0.0);
-  b.m4.assign(num_pairs_, 0.0);
-  b.m3_ijh.assign(num_pairs_ * G, 0.0);
-
-  // Pass 1: block means. The prediction stream depends only on the
-  // sub-plaintext value, so its per-guess means (and M2 below) reduce to
-  // the plaintext histogram — O(plaintexts · guesses), not O(count).
-  std::vector<std::size_t> hist(num_plaintexts_, 0);
-  for (std::size_t t = 0; t < count; ++t) {
-    SABLE_REQUIRE(pts[t] < num_plaintexts_, "plaintext out of range");
-    ++hist[pts[t]];
-    const double* row = rows + t * L;
-    for (std::size_t i = 0; i < L; ++i) b.mean_x[i] += row[i];
-  }
-  const double inv_n = 1.0 / static_cast<double>(count);
-  for (std::size_t i = 0; i < L; ++i) b.mean_x[i] *= inv_n;
-  for (std::size_t pt = 0; pt < num_plaintexts_; ++pt) {
-    if (hist[pt] == 0) continue;
-    const double w = static_cast<double>(hist[pt]);
-    const double* pred = table + pt * G;
-    for (std::size_t g = 0; g < G; ++g) b.mean_h[g] += w * pred[g];
-  }
-  for (std::size_t g = 0; g < G; ++g) b.mean_h[g] *= inv_n;
-  for (std::size_t pt = 0; pt < num_plaintexts_; ++pt) {
-    if (hist[pt] == 0) continue;
-    const double w = static_cast<double>(hist[pt]);
-    const double* pred = table + pt * G;
-    for (std::size_t g = 0; g < G; ++g) {
-      const double dh = pred[g] - b.mean_h[g];
-      b.m2_h[g] += w * dh * dh;
-    }
-  }
-
-  // Pass 2: central sums around the block means.
-  std::vector<double> dx(L), dh(G);
-  for (std::size_t t = 0; t < count; ++t) {
-    const double* row = rows + t * L;
-    for (std::size_t i = 0; i < L; ++i) dx[i] = row[i] - b.mean_x[i];
-    const double* pred = table + pts[t] * G;
-    for (std::size_t g = 0; g < G; ++g) dh[g] = pred[g] - b.mean_h[g];
-    for (std::size_t i = 0; i < L; ++i) {
-      for (std::size_t j = i; j < L; ++j) b.c2[i * L + j] += dx[i] * dx[j];
-      double* cx = b.c_xh.data() + i * G;
-      for (std::size_t g = 0; g < G; ++g) cx[g] += dx[i] * dh[g];
-    }
-    std::size_t p = 0;
-    for (std::size_t i = 0; i < L; ++i) {
-      for (std::size_t j = i + 1; j < L; ++j, ++p) {
-        const double prod = dx[i] * dx[j];
-        b.m3_iij[p] += dx[i] * prod;
-        b.m3_ijj[p] += prod * dx[j];
-        b.m4[p] += prod * prod;
-        double* m3h = b.m3_ijh.data() + p * G;
-        for (std::size_t g = 0; g < G; ++g) m3h[g] += prod * dh[g];
-      }
-    }
-  }
-  // Mirror the upper triangle: the combine formulas index c2 freely.
-  for (std::size_t i = 0; i < L; ++i) {
-    for (std::size_t j = 0; j < i; ++j) b.c2[i * L + j] = b.c2[j * L + i];
-  }
-  return b;
+StreamingSecondOrderCpa::SumsView StreamingSecondOrderCpa::view(
+    const Sums& s) {
+  return SumsView{s.n,           s.mean_x.data(), s.mean_h.data(),
+                  s.m2_h.data(), s.c2.data(),     s.c_xh.data(),
+                  s.m3_iij.data(), s.m3_ijj.data(), s.m4.data(),
+                  s.m3_ijh.data()};
 }
 
-void StreamingSecondOrderCpa::combine(Sums& a, const Sums& b) const {
-  if (b.n == 0) return;
-  if (a.n == 0) {
-    a = b;
-    return;
+StreamingSecondOrderCpa::SumsView StreamingSecondOrderCpa::block_sums(
+    const std::uint8_t* pts, const double* rows, std::size_t count,
+    std::size_t width) const {
+  const std::size_t L = width;
+  const std::size_t Q = pair_count(L);
+  const std::size_t W = L + Q;  // bin row: L level sums, then Q pair sums
+  const std::size_t G = num_guesses_;
+  const std::size_t P = num_plaintexts_;
+  const BlockStatKernels& kernels = block_stat_kernels(active_tier());
+  detail::BlockScratch& s = detail::block_scratch(L, G);
+  s.r.resize(W * G);
+  s.pair_first.resize(Q);
+  s.pair_second.resize(Q);
+  s.centre.resize(L);
+  s.dx.resize(L);
+  s.bins.resize(detail::kBlockPts * W);
+  s.pred_centred.resize(P * G);
+  s.c2.resize(L * L);
+  s.m3_iij.resize(Q);
+  s.m3_ijj.resize(Q);
+  s.m4.resize(Q);
+
+  // Pass 1: plaintext counts (validated before anything else happens)
+  // and the block means, shifted by the block's first row.
+  std::copy_n(rows, L, s.shifts.begin());
+  kernels.histogram_sampled(pts, rows, count, L, s.shifts.data(),
+                            s.counts.data(), s.sums.data(),
+                            s.sum_sq.data());
+  detail::require_block_pts(s.counts.data(), P);
+  const double n = static_cast<double>(count);
+  for (std::size_t l = 0; l < L; ++l) {
+    double t_sum = 0.0;
+    for (std::size_t p = 0; p < P; ++p) t_sum += s.sums[p * L + l];
+    s.centre[l] = t_sum / n;
+    s.col_mean[l] = s.shifts[l] + s.centre[l];
   }
+
+  // The prediction moments reduce to the histogram. The count GEMV gives
+  // the per-guess means; its raw Σ n·h² is dropped, and m2_h is taken
+  // two-pass instead, as the count-weighted square of the block-centred
+  // table the pair bins contract against below. Rows of absent
+  // plaintexts stay unset; the contraction skips them too.
+  const double* pred = predictions_->data();
+  double* mean_h = s.sum_h.data();
+  double* m2_h = s.sum_h2.data();
+  kernels.contract_counts(pred, s.counts.data(), P, G, mean_h, m2_h);
+  for (std::size_t g = 0; g < G; ++g) {
+    mean_h[g] /= n;
+    m2_h[g] = 0.0;
+  }
+  for (std::size_t p = 0; p < P; ++p) {
+    if (s.counts[p] == 0) continue;
+    const double w = static_cast<double>(s.counts[p]);
+    const double* h = pred + p * G;
+    double* hc = s.pred_centred.data() + p * G;
+    for (std::size_t g = 0; g < G; ++g) {
+      const double dh = h[g] - mean_h[g];
+      hc[g] = dh;
+      m2_h[g] += w * dh * dh;
+    }
+  }
+
+  // Pass 2: the centred products, binned per plaintext, plus the
+  // guess-free moment chains.
+  std::size_t q = 0;
+  for (std::size_t i = 0; i < L; ++i) {
+    for (std::size_t j = i + 1; j < L; ++j, ++q) {
+      s.pair_first[q] = static_cast<std::uint32_t>(i);
+      s.pair_second[q] = static_cast<std::uint32_t>(j);
+    }
+  }
+  kernels.histogram_pairs(pts, rows, count, L, s.shifts.data(),
+                          s.centre.data(), s.pair_first.data(),
+                          s.pair_second.data(), Q, s.dx.data(),
+                          s.bins.data(), s.sum_sq.data(), s.m3_iij.data(),
+                          s.m3_ijj.data(), s.m4.data());
+
+  // One GEMM over both bin groups: rows 0..L-1 of r are c_xh, rows
+  // L..L+Q-1 are m3_ijh.
+  kernels.contract_sums(s.pred_centred.data(), s.bins.data(),
+                        s.counts.data(), P, W, G, s.r.data());
+  q = 0;
+  for (std::size_t i = 0; i < L; ++i) {
+    s.c2[i * L + i] = s.sum_sq[i];
+    for (std::size_t j = i + 1; j < L; ++j, ++q) {
+      double c = 0.0;
+      for (std::size_t p = 0; p < P; ++p) c += s.bins[p * W + L + q];
+      s.c2[i * L + j] = c;
+      s.c2[j * L + i] = c;
+    }
+  }
+  return SumsView{count,       s.col_mean.data(), mean_h,
+                  m2_h,        s.c2.data(),       s.r.data(),
+                  s.m3_iij.data(), s.m3_ijj.data(), s.m4.data(),
+                  s.r.data() + L * G};
+}
+
+void StreamingSecondOrderCpa::combine(const SumsView& b) {
+  if (b.n == 0) return;
+  Sums& a = sums_;
   const std::size_t L = width_;
   const std::size_t G = num_guesses_;
+  const std::size_t Q = num_pairs_;
+  if (a.n == 0) {
+    a.n = b.n;
+    std::copy_n(b.mean_x, L, a.mean_x.begin());
+    std::copy_n(b.mean_h, G, a.mean_h.begin());
+    std::copy_n(b.m2_h, G, a.m2_h.begin());
+    std::copy_n(b.c2, L * L, a.c2.begin());
+    std::copy_n(b.c_xh, L * G, a.c_xh.begin());
+    std::copy_n(b.m3_iij, Q, a.m3_iij.begin());
+    std::copy_n(b.m3_ijj, Q, a.m3_ijj.begin());
+    std::copy_n(b.m4, Q, a.m4.begin());
+    std::copy_n(b.m3_ijh, Q * G, a.m3_ijh.begin());
+    return;
+  }
   const double na = static_cast<double>(a.n);
   const double nb = static_cast<double>(b.n);
   const double n = na + nb;
@@ -145,7 +191,12 @@ void StreamingSecondOrderCpa::combine(Sums& a, const Sums& b) const {
   // a_i = μ_Ai − μ, b_i = μ_Bi − μ. Every formula below is the exact
   // expansion of the combined central sum Σ (d + shift)·… with the
   // part-local zero-sum terms dropped.
-  std::vector<double> ax(L), bx(L), ah(G), bh(G);
+  std::vector<double>& fold = detail::block_scratch().fold;
+  fold.resize(2 * (L + G));
+  double* ax = fold.data();
+  double* bx = ax + L;
+  double* ah = bx + L;
+  double* bh = ah + G;
   for (std::size_t i = 0; i < L; ++i) {
     const double d = b.mean_x[i] - a.mean_x[i];
     ax[i] = -d * nb / n;
@@ -176,11 +227,11 @@ void StreamingSecondOrderCpa::combine(Sums& a, const Sums& b) const {
           + 4.0 * bx[i] * bx[j] * bcij
           + nb * bx[i] * bx[i] * bx[j] * bx[j];
       double* m3h = a.m3_ijh.data() + p * G;
-      const double* om3h = b.m3_ijh.data() + p * G;
+      const double* om3h = b.m3_ijh + p * G;
       const double* acxi = a.c_xh.data() + i * G;
       const double* acxj = a.c_xh.data() + j * G;
-      const double* bcxi = b.c_xh.data() + i * G;
-      const double* bcxj = b.c_xh.data() + j * G;
+      const double* bcxi = b.c_xh + i * G;
+      const double* bcxj = b.c_xh + j * G;
       for (std::size_t g = 0; g < G; ++g) {
         m3h[g] += om3h[g]
             + ax[i] * acxj[g] + ax[j] * acxi[g] + ah[g] * acij
@@ -202,7 +253,7 @@ void StreamingSecondOrderCpa::combine(Sums& a, const Sums& b) const {
           + nb * bx[i] * bx[j];
     }
     double* cx = a.c_xh.data() + i * G;
-    const double* ocx = b.c_xh.data() + i * G;
+    const double* ocx = b.c_xh + i * G;
     for (std::size_t g = 0; g < G; ++g) {
       cx[g] += ocx[g] + na * ax[i] * ah[g] + nb * bx[i] * bh[g];
     }
@@ -223,9 +274,10 @@ void StreamingSecondOrderCpa::add_block(const std::uint8_t* pts,
                                         const double* rows, std::size_t count,
                                         std::size_t width) {
   if (count == 0) return;
+  require_width(width);
+  const SumsView b = block_sums(pts, rows, count, width);
   ensure_width(width);
-  const Sums b = block_sums(pts, rows, count);
-  combine(sums_, b);
+  combine(b);
 }
 
 void StreamingSecondOrderCpa::merge(const StreamingSecondOrderCpa& other) {
@@ -238,7 +290,7 @@ void StreamingSecondOrderCpa::merge(const StreamingSecondOrderCpa& other) {
                 "merge requires accumulators over the same S-box spec");
   if (other.width_ == 0) return;  // other never saw a block
   ensure_width(other.width_);
-  combine(sums_, other.sums_);
+  combine(view(other.sums_));
 }
 
 void StreamingSecondOrderCpa::save(ByteWriter& writer) const {

@@ -9,14 +9,11 @@
 // (the companion VLSI-flow paper's argument), and the classic attack on
 // masked implementations whose shares leak at two distinct times.
 //
-// One pass, exactly: the retained-trace formulation needs the full-campaign
-// column means before it can form a single product, so a naive streaming
-// port would be two-pass. Instead the accumulator keeps exact central
-// co-moments up to fourth order — per column mean/M2, per pair C_ij,
-// M3_iij, M3_ijj, M4_iijj, per guess mean/M2 of the prediction, and the
-// mixed third moment M3_ijh per (pair, guess) — via block-local two-pass
-// sums combined with pairwise (Chan/Pébay-style) update formulas. From
-// those, with full-campaign means μ and n traces:
+// State: exact central co-moments up to fourth order — per column mean,
+// the co-moment matrix C (diagonal = per-column M2), per pair M3_iij,
+// M3_ijj, M4_iijj, per guess mean/M2 of the prediction, C_xh per
+// (column, guess) and the mixed third moment M3_ijh per (pair, guess).
+// With full-campaign means and n traces:
 //
 //   Cov(p, h)  = M3_ijh / n
 //   Var(p)     = (M4_iijj − C_ij² / n) / n
@@ -25,9 +22,48 @@
 //
 // so the streamed scores equal the retained-trace centered-product
 // reference to ~1e-13 while holding O(levels² · guesses) state and no
-// trace. merge() folds a disjoint trace subset exactly (same pairwise
-// formulas), which makes the accumulator shardable under the engine's
-// fixed-shape merge tree — bit-identical results for any thread count.
+// trace.
+//
+// Block factoring (the dpa/block_stats.hpp pattern CPA, DoM and MultiCpa
+// share): the prediction depends only on the sub-plaintext, so a block's
+// mixed moment factors through per-plaintext bins,
+//
+//   Σ_t (dx_i dx_j)_t · dh[pt_t][g] = Σ_pt B[pt][ij] · dh[pt][g],
+//
+// and add_block runs no per-trace guess loop:
+//  1. histogram_sampled: plaintext counts (the range check is one sweep
+//     over them) and the block means;
+//  2. histogram_pairs: per plaintext Σ dx_i and Σ dx_i·dx_j, plus the
+//     guess-free Σ dx², M3_iij, M3_ijj and M4 chains in trace order;
+//  3. one contract_sums GEMM of the L + L(L−1)/2 wide bins against the
+//     block-centred prediction table (pred − mean_h) yields C_xh and
+//     M3_ijh together. C's off-diagonals are the column totals of the
+//     pair bins, its diagonal is Σ dx².
+// The table is centred before the contraction because subtracting
+// mean_h·Σ from a raw-prediction contraction afterwards cancels digits.
+// On an 8192-trace, six-level block at ~1e-13 J, every mixed and third
+// moment stays within ~1e-14 of its scale against exact rational
+// arithmetic.
+//
+// Shift then centre: a sample is centred as dx = (x − shift) −
+// shifted_mean, shift being the block's first row. The shifted
+// differences carry the ~1e-15 J data-dependent variation rather than
+// the ~1e-13 J energy offset, and a constant column centres to an exact
+// 0.0 — whereas x − Σx/n is rounding residue unless n is a power of two,
+// which the normalisation inflates to spurious O(1e-2) scores. A
+// constant-power trace stream therefore scores exactly zero.
+//
+// Folding: a block's sums fold into the running state — and merge()
+// folds another accumulator's state — through pairwise
+// (Chan/Pébay-style) combination formulas, exact up to fourth order.
+// Block boundaries are the engine's fixed shard layout and every kernel
+// fixes its summation order, so campaigns are bit-identical across
+// threads × lane widths × dispatch tiers, and the merge tree makes the
+// accumulator shardable.
+//
+// State layout: the serialized fields, their meaning and the tag are
+// those of the per-trace formulation this replaced, so its blobs still
+// load and resume — matching a fresh run within 1e-12, not byte for byte.
 #pragma once
 
 #include <cstdint>
@@ -61,10 +97,11 @@ class StreamingSecondOrderCpa {
                           std::size_t bit = 0);
 
   /// Consumes `count` traces: `pts` holds the attacked instance's
-  /// sub-plaintexts, `rows` holds count rows of `width` samples. Central
-  /// sums are formed block-locally (two passes over the block, which is
-  /// already resident) and folded in exactly, so feeding one block or
-  /// many is numerically equivalent.
+  /// sub-plaintexts, `rows` holds count rows of `width` samples. The
+  /// block's central sums come from two guess-free passes and one
+  /// contraction (see above) and fold in exactly, so feeding one block
+  /// or many is numerically equivalent. A bad width or an out-of-range
+  /// plaintext throws InvalidArgument before any state mutates.
   void add_block(const std::uint8_t* pts, const double* rows,
                  std::size_t count, std::size_t width);
 
@@ -103,13 +140,31 @@ class StreamingSecondOrderCpa {
     std::vector<double> m4;       // [pairs]  Σ (dx_i dx_j)²
     std::vector<double> m3_ijh;   // [pairs * guesses]
   };
+  // The same sums, read-only and laid out alike: a block's sums in the
+  // per-thread block scratch, or another accumulator's state.
+  struct SumsView {
+    std::size_t n = 0;
+    const double* mean_x;
+    const double* mean_h;
+    const double* m2_h;
+    const double* c2;
+    const double* c_xh;
+    const double* m3_iij;
+    const double* m3_ijj;
+    const double* m4;
+    const double* m3_ijh;
+  };
+  static SumsView view(const Sums& s);
 
+  // Checks `width` against the fixed width (or the >= 2 rule for the
+  // first block) without mutating; ensure_width then adopts it.
+  void require_width(std::size_t width) const;
   void ensure_width(std::size_t width);
-  Sums block_sums(const std::uint8_t* pts, const double* rows,
-                  std::size_t count) const;
-  // Folds B into A: exact pairwise combination, highest order first so
-  // every update reads pre-merge lower-order values.
-  void combine(Sums& a, const Sums& b) const;
+  SumsView block_sums(const std::uint8_t* pts, const double* rows,
+                      std::size_t count, std::size_t width) const;
+  // Folds B into the running state: exact pairwise combination, highest
+  // order first so every update reads pre-merge lower-order values.
+  void combine(const SumsView& b);
 
   std::size_t num_guesses_;
   std::size_t num_plaintexts_;

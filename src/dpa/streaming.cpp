@@ -22,51 +22,9 @@ constexpr std::uint32_t kDomTag = 0x53AB1002;
 constexpr std::uint32_t kMultiCpaTag = 0x53AB1003;
 constexpr std::uint32_t kDomShiftedTag = 0x53AB1008;
 
-// The hoisted form of the per-trace range check: the histogram pass binned
-// every sub-plaintext byte into one of the 256 slots, so one sweep over
-// the slots past num_plaintexts validates the whole block.
-void require_block_pts(const std::uint64_t* counts,
-                       std::size_t num_plaintexts) {
-  for (std::size_t p = num_plaintexts; p < detail::kBlockPts; ++p) {
-    SABLE_REQUIRE(counts[p] == 0, "plaintext out of range");
-  }
-}
-
-// Working set of the block passes. Per thread rather than per
-// accumulator: shard states, MTD snapshots and merged prefixes then carry
-// only their logical moments, and a worker reuses one set across every
-// block it accumulates, so the steady state never allocates.
-struct BlockScratch {
-  std::vector<std::uint64_t> counts;  // [kBlockPts]
-  std::vector<double> sums;           // [kBlockPts * width]
-  std::vector<double> shifts;         // [width]
-  std::vector<double> sum_sq;         // [width]
-  std::vector<double> sum_h;          // [num_guesses]  (DoM: sum0)
-  std::vector<double> sum_h2;         // [num_guesses]  (DoM: sum1)
-  std::vector<std::uint64_t> cnt0;    // [num_guesses]  (DoM partitions)
-  std::vector<std::uint64_t> cnt1;    // [num_guesses]
-  std::vector<double> r;              // [width * num_guesses]
-  std::vector<double> col_sum;        // [width]
-  std::vector<double> col_mean;       // [width]
-  std::vector<double> col_m2;         // [width]
-};
-
-BlockScratch& block_scratch(std::size_t width, std::size_t num_guesses) {
-  thread_local BlockScratch scratch;
-  scratch.counts.resize(detail::kBlockPts);
-  scratch.sums.resize(detail::kBlockPts * width);
-  scratch.shifts.resize(width);
-  scratch.sum_sq.resize(width);
-  scratch.sum_h.resize(num_guesses);
-  scratch.sum_h2.resize(num_guesses);
-  scratch.cnt0.resize(num_guesses);
-  scratch.cnt1.resize(num_guesses);
-  scratch.r.resize(width * num_guesses);
-  scratch.col_sum.resize(width);
-  scratch.col_mean.resize(width);
-  scratch.col_m2.resize(width);
-  return scratch;
-}
+using detail::block_scratch;
+using detail::BlockScratch;
+using detail::require_block_pts;
 
 }  // namespace
 

@@ -10,10 +10,13 @@
 // One consumption path: add_block() (dpa/block_stats.hpp) — per-plaintext
 // sufficient statistics in one O(count) pass, one dense contraction per
 // block, then a pairwise fold of the block's moments into the running
-// state. The engine's shard pipeline feeds add_block once per shard (MTD
-// once per sub-block between checkpoints), and the resident-trace entry
-// points (cpa_attack, dom_attack, cpa_attack_multisample) are one
-// add_block call over the whole trace set.
+// state. Every accumulator in the dpa layer takes it, second-order CPA
+// included (dpa/second_order.hpp: a guess-free pair-moment pass, then
+// the same contraction GEMM), so no per-trace guess loop remains. The
+// engine's shard pipeline feeds add_block once per shard (MTD once per
+// sub-block between checkpoints), and the resident-trace entry points
+// (cpa_attack, dom_attack, cpa_attack_multisample) are one add_block
+// call over the whole trace set.
 //
 // Numerics: samples are accumulated relative to a shift (the block's
 // first sample) and folded as Welford-form moments (not raw-moment sums),

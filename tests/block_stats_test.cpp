@@ -4,7 +4,8 @@
 //
 //  1. Equivalence — the block-factored path scores within 1e-12 of the
 //     naive two-pass oracle (dpa_reference.hpp), for CPA (4- and 8-bit
-//     sboxes), DoM (relative to its ~1e-15 score scale) and MultiCpa.
+//     sboxes), DoM (relative to its ~1e-15 score scale), MultiCpa and
+//     second-order CPA (4- and 8-bit sboxes, one pair and many).
 //  2. Cross-tier bit-identity — the same blocks produce byte-identical
 //     serialized state under every dispatch tier the build and the
 //     machine support, and the raw kernels agree bitwise output-for-
@@ -22,10 +23,12 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "crypto/sboxes.hpp"
 #include "dpa/block_stats.hpp"
+#include "dpa/second_order.hpp"
 #include "dpa/streaming.hpp"
 #include "dpa_reference.hpp"
 #include "io/serial.hpp"
@@ -166,6 +169,78 @@ TEST(BlockStatsTest, MultiCpaBlockPathMatchesOracle) {
                          PowerModel::kHammingWeight));
 }
 
+// Time-resolved rows with a second-order leak: columns 0 and 1 share a
+// per-trace common-mode wiggle whose sign follows the predicted leakage
+// of `key`, so their centered product — and no single column — tracks
+// the prediction. Every sample sits at ~1e-13 J with ~1e-15 J of
+// variation, the cancellation regime shift-then-centre is for.
+TraceSet make_second_order_traces(std::size_t count, const SboxSpec& spec,
+                                  std::size_t width, std::uint8_t key,
+                                  std::uint64_t seed) {
+  const std::size_t num_pts = std::size_t{1} << spec.in_bits;
+  TraceSet t = make_traces(count, num_pts, width, seed);
+  Rng rng(seed ^ 0x2D0);
+  for (std::size_t i = 0; i < count; ++i) {
+    const double h =
+        predict_leakage(spec, PowerModel::kHammingWeight, t.pts[i], key, 0);
+    const double sign = h > 0.5 * static_cast<double>(spec.out_bits)
+                            ? 1.0
+                            : -1.0;
+    const double z = 1e-15 * rng.gaussian();
+    t.rows[i * width] += z;
+    t.rows[i * width + 1] += sign * z;
+  }
+  return t;
+}
+
+MultiTraceSet resident_rows(const TraceSet& t) {
+  MultiTraceSet resident;
+  for (std::size_t i = 0; i < t.pts.size(); ++i) {
+    resident.add(t.pts[i], t.rows.data() + i * t.width, t.width);
+  }
+  return resident;
+}
+
+StreamingSecondOrderCpa second_order_blocks(const TraceSet& t,
+                                            const SboxSpec& spec) {
+  StreamingSecondOrderCpa acc(spec, PowerModel::kHammingWeight);
+  for_each_block(t, [&](const std::uint8_t* pts, const double* rows,
+                        std::size_t n) {
+    acc.add_block(pts, rows, n, t.width);
+  });
+  return acc;
+}
+
+TEST(BlockStatsTest, SecondOrderBlockPathMatchesOracle) {
+  // A 4-bit and an 8-bit (256-guess, sparse-histogram) S-box, each at
+  // the narrowest width (one pair) and at a width whose 36 pairs leave a
+  // ragged tail at every vector width, over the ragged block split.
+  constexpr std::uint8_t kKey = 0x5;
+  for (const SboxSpec& spec : {present_spec(), aes_spec()}) {
+    for (const std::size_t width : {std::size_t{2}, std::size_t{9}}) {
+      const std::string where =
+          "guesses " + std::to_string(std::size_t{1} << spec.in_bits) +
+          " width " + std::to_string(width);
+      const TraceSet t =
+          make_second_order_traces(kTotal, spec, width, kKey, 0x2B10 + width);
+      const StreamingSecondOrderCpa acc = second_order_blocks(t, spec);
+      EXPECT_EQ(acc.count(), kTotal) << where;
+      const SecondOrderAttackResult got = acc.result();
+      const SecondOrderAttackResult want = reference::second_order_cpa(
+          resident_rows(t), spec, PowerModel::kHammingWeight);
+      ASSERT_EQ(got.combined.score.size(), want.combined.score.size());
+      for (std::size_t g = 0; g < want.combined.score.size(); ++g) {
+        EXPECT_NEAR(got.combined.score[g], want.combined.score[g], 1e-12)
+            << where << " guess " << g;
+      }
+      EXPECT_EQ(got.best_pair_first, want.best_pair_first) << where;
+      EXPECT_EQ(got.best_pair_second, want.best_pair_second) << where;
+      EXPECT_EQ(got.combined.rank_of(kKey), want.combined.rank_of(kKey))
+          << where;
+    }
+  }
+}
+
 // ---- cross-tier bit-identity ----------------------------------------------
 
 std::vector<DispatchTier> testable_tiers() {
@@ -212,6 +287,23 @@ TEST(BlockStatsTest, MultiCpaBitIdenticalAcrossDispatchTiers) {
   }
 }
 
+TEST(BlockStatsTest, SecondOrderBitIdenticalAcrossDispatchTiers) {
+  constexpr std::size_t kWidth = 9;
+  const TraceSet t =
+      make_second_order_traces(kTotal, present_spec(), kWidth, 0x3, 0x71E7);
+  std::vector<std::uint8_t> reference;
+  for (const DispatchTier tier : testable_tiers()) {
+    ScopedDispatchTierCap cap(tier);
+    const std::vector<std::uint8_t> bytes =
+        saved_bytes(second_order_blocks(t, present_spec()));
+    if (reference.empty()) {
+      reference = bytes;
+    } else {
+      EXPECT_EQ(bytes, reference) << "tier " << static_cast<int>(tier);
+    }
+  }
+}
+
 TEST(BlockStatsTest, RawKernelsBitIdenticalAcrossDispatchTiers) {
   // Below the accumulators: the dispatched kernel table itself. Every
   // tier's histogram and contraction outputs must agree bitwise — the
@@ -229,11 +321,16 @@ TEST(BlockStatsTest, RawKernelsBitIdenticalAcrossDispatchTiers) {
     pred_bit[i] = static_cast<std::uint8_t>(rng.below(2));
   }
   std::vector<double> shifts(kWidth, 1e-13);
+  const std::vector<double> centre = {3e-16, -2e-16, 5e-16};
+  const std::vector<std::uint32_t> pair_first = {0, 0, 1};
+  const std::vector<std::uint32_t> pair_second = {1, 2, 2};
+  constexpr std::size_t kPairs = 3;
 
   struct Outputs {
     std::vector<std::uint64_t> counts;
     std::vector<double> sums, sum_sq, sum_h, sum_h2, r, sum0, sum1;
     std::vector<std::uint64_t> cnt0, cnt1;
+    std::vector<double> dx, bins, pair_sq, m3_iij, m3_ijj, m4;
   };
   auto run = [&](DispatchTier tier) {
     const BlockStatKernels& k = block_stat_kernels(tier);
@@ -258,6 +355,17 @@ TEST(BlockStatsTest, RawKernelsBitIdenticalAcrossDispatchTiers) {
     k.contract_dom(pred_bit.data(), o.counts.data(), o.sums.data(), kPts,
                    kGuesses, o.sum0.data(), o.sum1.data(), o.cnt0.data(),
                    o.cnt1.data());
+    o.dx.resize(kWidth);
+    o.bins.resize(detail::kBlockPts * (kWidth + kPairs));
+    o.pair_sq.resize(kWidth);
+    o.m3_iij.resize(kPairs);
+    o.m3_ijj.resize(kPairs);
+    o.m4.resize(kPairs);
+    k.histogram_pairs(t.pts.data(), t.rows.data(), kCount, kWidth,
+                      shifts.data(), centre.data(), pair_first.data(),
+                      pair_second.data(), kPairs, o.dx.data(),
+                      o.bins.data(), o.pair_sq.data(), o.m3_iij.data(),
+                      o.m3_ijj.data(), o.m4.data());
     return o;
   };
 
@@ -274,6 +382,11 @@ TEST(BlockStatsTest, RawKernelsBitIdenticalAcrossDispatchTiers) {
     expect_same_bits(got.r, ref.r);
     expect_same_bits(got.sum0, ref.sum0);
     expect_same_bits(got.sum1, ref.sum1);
+    expect_same_bits(got.bins, ref.bins);
+    expect_same_bits(got.pair_sq, ref.pair_sq);
+    expect_same_bits(got.m3_iij, ref.m3_iij);
+    expect_same_bits(got.m3_ijj, ref.m3_ijj);
+    expect_same_bits(got.m4, ref.m4);
   }
 }
 
@@ -375,6 +488,24 @@ TEST(BlockStatsTest, OutOfRangePlaintextThrowsBeforeMutating) {
   EXPECT_THROW(multi.add_block(t.pts.data(), t.rows.data(), t.pts.size()),
                InvalidArgument);
   EXPECT_EQ(multi.count(), 0u);
+
+  // Second order, both before its width is fixed and after a good block:
+  // the serialized state must not move at all.
+  constexpr std::size_t kWidth = 3;
+  TraceSet rows = make_traces(64, 16, kWidth, 0xBAE);
+  StreamingSecondOrderCpa second(present_spec(), PowerModel::kHammingWeight);
+  for (int fed = 0; fed < 2; ++fed) {
+    rows.pts[37] = 200;
+    const std::vector<std::uint8_t> before = saved_bytes(second);
+    EXPECT_THROW(second.add_block(rows.pts.data(), rows.rows.data(),
+                                  rows.pts.size(), kWidth),
+                 InvalidArgument);
+    EXPECT_EQ(saved_bytes(second), before) << "blocks fed " << fed;
+    rows.pts[37] = 7;
+    second.add_block(rows.pts.data(), rows.rows.data(), rows.pts.size(),
+                     kWidth);
+  }
+  EXPECT_EQ(second.count(), 2 * rows.pts.size());
 }
 
 }  // namespace

@@ -7,8 +7,7 @@
 //    which is exactly the reference reconstructed by hand here; MTD is
 //    also checked against the naive prefix oracle (dpa_reference.hpp);
 //  * the second-order centered-product CPA matches the retained-trace
-//    reference (full-campaign means, centered products, Pearson) to
-//    1e-12;
+//    oracle (dpa_reference.hpp) to 1e-12;
 //  * one-pass multi-selector campaigns match N independent re-simulated
 //    campaigns bit for bit;
 //  * mixing data kinds in one run_distinguishers call changes nothing;
@@ -29,7 +28,6 @@
 #include "engine/shard_feed.hpp"
 #include "engine/trace_engine.hpp"
 #include "util/cpu_dispatch.hpp"
-#include "power/stats.hpp"
 #include "util/rng.hpp"
 
 namespace sable {
@@ -227,54 +225,6 @@ TEST(DistinguisherPipelineTest, MultiCpaCampaignBitIdenticalToManualShards) {
 
 // ---- second-order CPA vs the retained-trace reference ---------------------
 
-// Retained-trace second-order reference: full-campaign column means,
-// centered product per level pair, Pearson against the predicted leakage
-// — the textbook two-pass formulation the streaming accumulator must
-// reproduce.
-SecondOrderAttackResult retained_second_order(const SboxSpec& spec,
-                                              PowerModel model,
-                                              const MultiTraceSet& traces) {
-  const std::size_t L = traces.width;
-  const std::size_t n = traces.size();
-  const std::size_t guesses = std::size_t{1} << spec.in_bits;
-  std::vector<double> mu(L, 0.0);
-  for (std::size_t t = 0; t < n; ++t) {
-    for (std::size_t i = 0; i < L; ++i) mu[i] += traces.at(t, i);
-  }
-  for (double& m : mu) m /= static_cast<double>(n);
-
-  std::vector<std::vector<double>> hyp(guesses, std::vector<double>(n));
-  for (std::size_t g = 0; g < guesses; ++g) {
-    for (std::size_t t = 0; t < n; ++t) {
-      hyp[g][t] = predict_leakage(spec, model, traces.plaintexts[t],
-                                  static_cast<std::uint8_t>(g), 0);
-    }
-  }
-
-  SecondOrderAttackResult result;
-  std::vector<double> combined(guesses, 0.0);
-  double global_best = -1.0;
-  std::vector<double> product(n);
-  for (std::size_t i = 0; i < L; ++i) {
-    for (std::size_t j = i + 1; j < L; ++j) {
-      for (std::size_t t = 0; t < n; ++t) {
-        product[t] = (traces.at(t, i) - mu[i]) * (traces.at(t, j) - mu[j]);
-      }
-      for (std::size_t g = 0; g < guesses; ++g) {
-        const double score = std::fabs(pearson(product, hyp[g]));
-        combined[g] = std::max(combined[g], score);
-        if (score > global_best) {
-          global_best = score;
-          result.best_pair_first = i;
-          result.best_pair_second = j;
-        }
-      }
-    }
-  }
-  result.combined = make_attack_result(std::move(combined));
-  return result;
-}
-
 TEST(SecondOrderCpaTest, MatchesRetainedTraceReference) {
   const RoundSpec round = present_round(1, LogicStyle::kStaticCmos);
   const CampaignOptions options = reference_options(round);
@@ -291,8 +241,8 @@ TEST(SecondOrderCpaTest, MatchesRetainedTraceReference) {
       retained.add(pts[t], rows + t * width, width);
     }
   });
-  const SecondOrderAttackResult reference = retained_second_order(
-      round.sboxes[0], selector.model, retained);
+  const SecondOrderAttackResult reference = reference::second_order_cpa(
+      retained, round.sboxes[0], selector.model);
   const SecondOrderAttackResult result =
       engine.second_order_cpa_campaign(options, selector);
 

@@ -3,10 +3,10 @@
 //
 // Every function here keeps all traces resident and recomputes from
 // scratch in the textbook formulation — two-pass Pearson CPA per key
-// guess, partition-mean DoM, per-column CPA, and prefix MTD (re-attack
-// each checkpoint's prefix) — sharing no code with the library's
-// accumulators beyond the leakage prediction and the two-pass
-// power/stats.hpp pearson().
+// guess, partition-mean DoM, per-column CPA, centered-product
+// second-order CPA, and prefix MTD (re-attack each checkpoint's prefix) —
+// sharing no code with the library's accumulators beyond the leakage
+// prediction and the two-pass power/stats.hpp pearson().
 #pragma once
 
 #include <algorithm>
@@ -21,6 +21,7 @@
 #include "crypto/sboxes.hpp"
 #include "dpa/attack.hpp"
 #include "dpa/mtd.hpp"
+#include "dpa/second_order.hpp"
 #include "power/stats.hpp"
 #include "power/trace.hpp"
 
@@ -99,6 +100,55 @@ inline std::vector<double> multi_cpa_scores(const MultiTraceSet& traces,
     }
   }
   return combined;
+}
+
+/// Second-order centered-product CPA: full-campaign column means, the
+/// centered product per level pair, two-pass Pearson against the
+/// predicted leakage, max-combined per guess; the best pair is where the
+/// overall largest |ρ| (first on ties) occurred.
+inline SecondOrderAttackResult second_order_cpa(const MultiTraceSet& traces,
+                                                const SboxSpec& spec,
+                                                PowerModel model,
+                                                std::size_t bit = 0) {
+  const std::size_t L = traces.width;
+  const std::size_t n = traces.size();
+  const std::size_t guesses = std::size_t{1} << spec.in_bits;
+  std::vector<double> mu(L, 0.0);
+  for (std::size_t t = 0; t < n; ++t) {
+    for (std::size_t i = 0; i < L; ++i) mu[i] += traces.at(t, i);
+  }
+  for (double& m : mu) m /= static_cast<double>(n);
+
+  std::vector<std::vector<double>> hyp(guesses, std::vector<double>(n));
+  for (std::size_t g = 0; g < guesses; ++g) {
+    for (std::size_t t = 0; t < n; ++t) {
+      hyp[g][t] = predict_leakage(spec, model, traces.plaintexts[t],
+                                  static_cast<std::uint8_t>(g), bit);
+    }
+  }
+
+  SecondOrderAttackResult result;
+  std::vector<double> combined(guesses, 0.0);
+  double global_best = -1.0;
+  std::vector<double> product(n);
+  for (std::size_t i = 0; i < L; ++i) {
+    for (std::size_t j = i + 1; j < L; ++j) {
+      for (std::size_t t = 0; t < n; ++t) {
+        product[t] = (traces.at(t, i) - mu[i]) * (traces.at(t, j) - mu[j]);
+      }
+      for (std::size_t g = 0; g < guesses; ++g) {
+        const double score = std::fabs(pearson(product, hyp[g]));
+        combined[g] = std::max(combined[g], score);
+        if (score > global_best) {
+          global_best = score;
+          result.best_pair_first = i;
+          result.best_pair_second = j;
+        }
+      }
+    }
+  }
+  result.combined = make_attack_result(std::move(combined));
+  return result;
 }
 
 /// The first `n` traces of a scalar trace set.
