@@ -324,23 +324,29 @@ MultiAttackBench measure_multi_attack(std::size_t threads) {
   options.lane_width = 64;  // comparable across PRs, like round_scaling
 
   auto start = Clock::now();
-  const std::vector<AttackResult> one_pass =
-      engine.cpa_campaign_all_subkeys(options, PowerModel::kHammingWeight);
+  std::vector<CpaDistinguisher> one_pass;
+  for (std::size_t j = 0; j < bench.num_sboxes; ++j) {
+    one_pass.emplace_back(
+        engine.spec(j),
+        AttackSelector{.sbox_index = j, .model = PowerModel::kHammingWeight});
+  }
+  std::vector<Distinguisher*> list;
+  for (CpaDistinguisher& cpa : one_pass) list.push_back(&cpa);
+  engine.run_distinguishers(options, list);
   bench.one_pass_seconds = seconds_since(start);
 
   start = Clock::now();
   std::vector<AttackResult> independent;
   for (std::size_t j = 0; j < bench.num_sboxes; ++j) {
-    independent.push_back(engine.cpa_campaign(
-        options,
-        AttackSelector{.sbox_index = j, .model = PowerModel::kHammingWeight}));
+    independent.push_back(engine.attack(
+        options, CpaDistinguisher(engine.spec(j), one_pass[j].selector())));
   }
   bench.independent_seconds = seconds_since(start);
   bench.speedup = bench.independent_seconds / bench.one_pass_seconds;
 
   bench.all_recovered = true;
   for (std::size_t j = 0; j < bench.num_sboxes; ++j) {
-    if (one_pass[j].best_guess != subkeys[j] ||
+    if (one_pass[j].result().best_guess != subkeys[j] ||
         independent[j].best_guess != subkeys[j]) {
       bench.all_recovered = false;
     }
@@ -707,9 +713,9 @@ std::vector<std::size_t> parse_lane_list(const char* arg, bool* ok) {
         widths.push_back(max_runtime_lane_width());
       } else {
         std::fprintf(stderr,
-                     "note: no SIMD lane word runnable here (build with "
-                     "SABLE_SIMD and run on an AVX2+ CPU), skipping "
-                     "\"simd\"\n");
+                     "note: no SIMD lane word runnable here (needs a GCC "
+                     "build, an AVX2+ CPU and no SABLE_DISPATCH=portable "
+                     "cap), skipping \"simd\"\n");
       }
       continue;
     }
@@ -945,9 +951,10 @@ int main(int argc, char** argv) {
     options.num_threads = threads;
     options.lane_width = 0;  // showcase: widest compiled-in word
     const auto start = Clock::now();
-    const AttackResult r =
-        engine.cpa_campaign(
-            options, AttackSelector{.model = PowerModel::kHammingWeight});
+    const AttackResult r = engine.attack(
+        options,
+        CpaDistinguisher(present_spec(),
+                         AttackSelector{.model = PowerModel::kHammingWeight}));
     cpa_seconds = seconds_since(start);
     std::printf(
         "\nstreaming CPA campaign: %zu traces in %.2f s (%.0f traces/s),\n"

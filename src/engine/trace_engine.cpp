@@ -556,12 +556,6 @@ void TraceEngine::stream_sampled(const CampaignOptions& options,
             });
 }
 
-void TraceEngine::run_distinguishers(
-    const CampaignOptions& options,
-    std::span<Distinguisher* const> distinguishers) {
-  run_distinguishers(options, distinguishers, CampaignPersistence{});
-}
-
 bool TraceEngine::run_distinguishers(
     const CampaignOptions& options,
     std::span<Distinguisher* const> distinguishers,
@@ -670,90 +664,6 @@ CampaignManifest TraceEngine::campaign_manifest(
   manifest.noise_sigma = options.noise_sigma;
   manifest.key = options.key;
   return manifest;
-}
-
-AttackResult TraceEngine::cpa_campaign(const CampaignOptions& options,
-                                       const AttackSelector& selector) {
-  SABLE_REQUIRE(options.num_traces >= 2, "CPA requires at least two traces");
-  validate_attack_selector(round(), selector, /*require_bit=*/false);
-  CpaDistinguisher cpa(round().sboxes[selector.sbox_index], selector);
-  Distinguisher* const list[] = {&cpa};
-  run_distinguishers(options, list);
-  return cpa.result();
-}
-
-std::vector<AttackResult> TraceEngine::cpa_campaign_all_subkeys(
-    const CampaignOptions& options, PowerModel model, std::size_t bit) {
-  std::vector<CpaDistinguisher> attacks;
-  attacks.reserve(round().num_sboxes());
-  std::vector<Distinguisher*> list;
-  list.reserve(round().num_sboxes());
-  for (std::size_t i = 0; i < round().num_sboxes(); ++i) {
-    const AttackSelector selector{.sbox_index = i, .model = model, .bit = bit};
-    validate_attack_selector(round(), selector, /*require_bit=*/false);
-    attacks.emplace_back(round().sboxes[i], selector);
-  }
-  for (CpaDistinguisher& attack : attacks) list.push_back(&attack);
-  run_distinguishers(options, list);
-  std::vector<AttackResult> results;
-  results.reserve(attacks.size());
-  for (const CpaDistinguisher& attack : attacks) {
-    results.push_back(attack.result());
-  }
-  return results;
-}
-
-SecondOrderAttackResult TraceEngine::second_order_cpa_campaign(
-    const CampaignOptions& options, const AttackSelector& selector) {
-  SABLE_REQUIRE(options.num_traces >= 2,
-                "second-order CPA requires at least two traces");
-  validate_attack_selector(round(), selector, /*require_bit=*/false);
-  SABLE_REQUIRE(target_.num_levels() >= 2,
-                "second-order CPA needs at least two logic levels to pair");
-  SecondOrderCpaDistinguisher attack(round().sboxes[selector.sbox_index],
-                                     selector);
-  Distinguisher* const list[] = {&attack};
-  run_distinguishers(options, list);
-  return attack.result();
-}
-
-AttackResult TraceEngine::dom_campaign(const CampaignOptions& options,
-                                       const AttackSelector& selector) {
-  SABLE_REQUIRE(options.num_traces >= 2, "DPA requires at least two traces");
-  validate_attack_selector(round(), selector, /*require_bit=*/true);
-  DomDistinguisher dom(round().sboxes[selector.sbox_index], selector);
-  Distinguisher* const list[] = {&dom};
-  run_distinguishers(options, list);
-  return dom.result();
-}
-
-MtdResult TraceEngine::mtd_campaign(const CampaignOptions& options,
-                                    const AttackSelector& selector,
-                                    const std::vector<std::size_t>& checkpoints) {
-  SABLE_REQUIRE(options.num_traces >= 2, "MTD requires at least two traces");
-  validate_key(round(), options);
-  validate_attack_selector(round(), selector, /*require_bit=*/false);
-  MtdDistinguisher mtd(round().sboxes[selector.sbox_index], selector,
-                       round().sub_word(options.key.data(),
-                                        selector.sbox_index),
-                       checkpoints, options.num_traces);
-  Distinguisher* const list[] = {&mtd};
-  run_distinguishers(options, list);
-  return mtd.result();
-}
-
-MultiAttackResult TraceEngine::multi_cpa_campaign(
-    const CampaignOptions& options, const AttackSelector& selector) {
-  SABLE_REQUIRE(options.num_traces >= 2,
-                "multisample CPA requires at least two traces");
-  validate_attack_selector(round(), selector, /*require_bit=*/false);
-  SABLE_REQUIRE(target_.num_levels() > 0,
-                "time-resolved campaigns need at least one logic level");
-  MultiCpaDistinguisher attack(round().sboxes[selector.sbox_index], selector,
-                               target_.num_levels());
-  Distinguisher* const list[] = {&attack};
-  run_distinguishers(options, list);
-  return attack.result();
 }
 
 }  // namespace sable

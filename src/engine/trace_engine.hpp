@@ -14,10 +14,11 @@
 // accumulators ride the worker pool and reduce through a fixed-shape
 // binary merge tree (or an ordered fold for MTD), so an attack over 10^7
 // traces needs O(guesses) memory per shard, one pass, and 1/(64 * cores)
-// of the scalar simulation time. The historic campaigns
-// (cpa/dom/mtd/multi_cpa) are thin wrappers over that pipeline, and any
-// number of distinguishers — e.g. a CPA per subkey of a 16-S-box round —
-// share ONE simulated campaign instead of re-simulating per attack.
+// of the scalar simulation time. A single attack is attack(options, d)
+// for its Distinguisher d (CPA, DoM, MTD, multi-sample or second-order
+// CPA), and any number of distinguishers — e.g. a CPA per subkey of a
+// 16-S-box round — share ONE simulated campaign through
+// run_distinguishers instead of re-simulating per attack.
 //
 // Attacks select one instance via AttackSelector{sbox_index, model, bit}:
 // the accumulators consume that instance's sub-plaintexts and guess its
@@ -63,9 +64,6 @@
 #include "crypto/round_target.hpp"
 #include "crypto/target.hpp"
 #include "dpa/distinguisher.hpp"
-#include "dpa/mtd.hpp"
-#include "dpa/second_order.hpp"
-#include "dpa/streaming.hpp"
 #include "io/corpus.hpp"
 #include "io/manifest.hpp"
 #include "power/trace.hpp"
@@ -226,33 +224,30 @@ class TraceEngine {
   void stream_sampled(const CampaignOptions& options, const TraceSink& sink);
 
   /// Drives any set of pluggable distinguishers through ONE simulated
-  /// campaign — the generic path every attack campaign below wraps. Per
-  /// shard, each distinguisher's ShardAccumulator consumes the shard's
-  /// block (sub-plaintext extraction deduplicated per attacked instance,
-  /// one virtual dispatch per distinguisher per shard); per-shard states
-  /// reduce through the fixed-shape merge tree, or the ordered left fold
-  /// for Distinguisher::ordered() (MTD prefix semantics). Afterwards each
-  /// distinguisher holds its typed result. Mixing scalar and
-  /// time-resolved distinguishers simulates each shard once per data
-  /// kind with identical per-kind streams, so every result is
-  /// bit-identical to the same distinguisher run alone. Results are
+  /// campaign — the path every attack takes (attack() is this with one
+  /// distinguisher). Per shard, each distinguisher's ShardAccumulator
+  /// consumes the shard's block (sub-plaintext extraction deduplicated
+  /// per attacked instance, one virtual dispatch per distinguisher per
+  /// shard); per-shard states reduce through the fixed-shape merge tree,
+  /// or the ordered left fold for Distinguisher::ordered() (MTD prefix
+  /// semantics). Afterwards each distinguisher holds its typed result.
+  /// Mixing scalar and time-resolved distinguishers simulates each shard
+  /// once per data kind with identical per-kind streams, so every result
+  /// is bit-identical to the same distinguisher run alone. Results are
   /// bit-identical for any num_threads and lane_width.
-  void run_distinguishers(const CampaignOptions& options,
-                          std::span<Distinguisher* const> distinguishers);
-
-  /// Persistence-aware campaign driver (the overload above is this with
-  /// default persistence): optionally resumes shard states from
+  ///
+  /// Persistence: optionally resumes shard states from
   /// persist.resume_path, simulates only the uncovered shards of
   /// [shard_begin, shard_end), checkpoints to persist.checkpoint_path in
   /// waves, and — when every canonical shard is covered — reduces and
-  /// finalizes exactly as the plain run. Returns true when results were
-  /// finalized, false for a partial (persisted) run whose shard states
-  /// went to the checkpoint file. Checkpoints store RAW per-shard states
-  /// (see io/campaign_state.hpp), so resumed, split and merged campaigns
-  /// are bit-identical to one uninterrupted local run.
+  /// finalizes exactly as an unpersisted run. Returns true when results
+  /// were finalized, false for a partial (persisted) run whose shard
+  /// states went to the checkpoint file. Checkpoints store RAW per-shard
+  /// states (see io/campaign_state.hpp), so resumed, split and merged
+  /// campaigns are bit-identical to one uninterrupted local run.
   bool run_distinguishers(const CampaignOptions& options,
                           std::span<Distinguisher* const> distinguishers,
-                          const CampaignPersistence& persist);
+                          const CampaignPersistence& persist = {});
 
   /// Folds N partial campaign-state files (each from a
   /// run_distinguishers invocation over a disjoint shard range — the
@@ -294,49 +289,18 @@ class TraceEngine {
   /// campaign is validated against.
   CampaignManifest campaign_manifest(const CampaignOptions& options) const;
 
-  /// One-pass CPA on the selected instance's subkey over a streamed
-  /// campaign: a single CpaDistinguisher through run_distinguishers.
-  AttackResult cpa_campaign(const CampaignOptions& options,
-                            const AttackSelector& selector);
-
-  /// One-pass CPA on EVERY subkey of the round from one simulated
-  /// campaign (one CpaDistinguisher per instance): result[i] is
-  /// bit-identical to cpa_campaign with selector {i, model, bit}, at
-  /// roughly 1/num_sboxes of the cost of re-simulating per instance.
-  std::vector<AttackResult> cpa_campaign_all_subkeys(
-      const CampaignOptions& options, PowerModel model, std::size_t bit = 0);
-
-  /// Second-order centered-product CPA over `cycle_sampled` rows: scores
-  /// every logic-level pair's centered product against the selected
-  /// instance's predicted leakage, max-combined per guess (see
-  /// dpa/second_order.hpp). Covers every logic style.
-  SecondOrderAttackResult second_order_cpa_campaign(
-      const CampaignOptions& options, const AttackSelector& selector);
-
-  /// One-pass difference-of-means on the selected instance's output bit
-  /// over a streamed campaign (sharded; selector.model is ignored — DoM
-  /// is inherently the single-bit model).
-  AttackResult dom_campaign(const CampaignOptions& options,
-                            const AttackSelector& selector);
-
-  /// Incremental MTD curve for the selected subkey: workers snapshot each
-  /// shard's partial accumulator at the checkpoints falling inside it;
-  /// the snapshots are then ranked in order against the merged prefix
-  /// (MtdDistinguisher) — the full measurements-to-disclosure experiment
-  /// in a single parallel pass over generated-and-dropped traces. The
-  /// correct subkey is read from options.key. Duplicate checkpoints are
-  /// evaluated once.
-  MtdResult mtd_campaign(const CampaignOptions& options,
-                         const AttackSelector& selector,
-                         const std::vector<std::size_t>& checkpoints);
-
-  /// Time-resolved one-pass CPA over `cycle_sampled` batches: one
-  /// correlation accumulator per logic level (StreamingMultiCpa), sharded
-  /// and tree-merged like cpa_campaign. Keeps, per guess, the largest
-  /// |rho| over the sample axis — the oscilloscope-style attack. Covers
-  /// every logic style (differential, static CMOS, WDDL).
-  MultiAttackResult multi_cpa_campaign(const CampaignOptions& options,
-                                       const AttackSelector& selector);
+  /// Runs one distinguisher alone through run_distinguishers and returns
+  /// a copy of its typed result, e.g.
+  ///   engine.attack(options, CpaDistinguisher(engine.spec(i), selector))
+  /// Every attack (CPA, DoM, MTD, multi-sample and second-order CPA) is
+  /// this call with its Distinguisher; several attacks sharing one
+  /// campaign go through run_distinguishers directly.
+  template <class D>
+  auto attack(const CampaignOptions& options, D&& distinguisher) {
+    Distinguisher* const list[] = {&distinguisher};
+    run_distinguishers(options, list);
+    return distinguisher.result();
+  }
 
   RoundTarget& target() { return target_; }
   const RoundSpec& round() const { return target_.round(); }

@@ -1,9 +1,9 @@
 // Runtime CPU dispatch for the bit-parallel kernels.
 //
-// The default build (SABLE_SIMD=RUNTIME) compiles portable, AVX2 and
-// AVX-512 kernel instantiations into one binary; this header is how the
-// engine decides — once per campaign, never on the trace hot path — which
-// of them this machine may run:
+// The build compiles portable, AVX2 and AVX-512 kernel instantiations
+// into one binary (portable only where the compiler lacks GCC's multi-ISA
+// targets); this header is how the engine decides — once per campaign,
+// never on the trace hot path — which of them this machine may run:
 //
 //   cpu_features()   cached CPUID probe (what the CPU has)
 //   compiled_tier()  widest tier whose kernels are in this binary
@@ -46,7 +46,8 @@ enum class DispatchTier { kPortable = 0, kAvx2 = 1, kAvx512 = 2 };
 const char* to_string(DispatchTier tier);
 
 /// Widest tier whose kernel instantiations are compiled into this binary
-/// (fixed at build time by SABLE_SIMD).
+/// (fixed at build time by the compiler probe in CMakeLists.txt, which
+/// defines SABLE_DISPATCH_AVX2/AVX512 where the compiler supports them).
 DispatchTier compiled_tier();
 
 /// Widest tier the executing CPU supports, independent of what was built.

@@ -19,14 +19,12 @@
 // Three word families are provided:
 //   std::uint64_t  the historic 64-lane kernel word (native scalar ops),
 //   Word128        a portable pair of std::uint64_t (no ISA requirement),
-//   Word256/512    AVX2 / AVX-512 vectors. In the default runtime-dispatch
-//                  build (SABLE_SIMD=RUNTIME) the types exist in every TU
-//                  (SABLE_DISPATCH_AVX2/512 are defined binary-wide) but
+//   Word256/512    AVX2 / AVX-512 vectors. The build defines
+//                  SABLE_DISPATCH_AVX2/512 binary-wide where the compiler
+//                  supports them, so the types exist in every TU, but
 //                  their kernels are only *instantiated* in the per-ISA
 //                  TUs under src/simd/, and only *selected* at runtime
 //                  when cpu_features() reports the ISA (util/cpu_dispatch).
-//                  Pinned builds (SABLE_SIMD=AVX2/AVX512/NATIVE) enable
-//                  the ISA for the whole binary instead.
 //
 // Multi-ISA safety rules (how one binary carries portable + AVX2 +
 // AVX-512 code without undefined behaviour):
@@ -69,10 +67,10 @@
 #endif
 
 // Function-level ISA enablement: expands to a target attribute when the
-// TU itself is not compiled with the ISA (runtime-dispatch builds), and
-// to nothing when it already is (pinned builds, src/simd TUs after their
-// #pragma GCC target — the pragma updates the __AVX2__/__AVX512F__ macros
-// only for code after it; these headers are parsed before).
+// TU itself is not compiled with the ISA (the default), and to nothing
+// when it already is (a TU built with -mavx2/-mavx512f; the src/simd TUs'
+// #pragma GCC target does not count — it updates the __AVX2__/__AVX512F__
+// macros only for code after it, and these headers are parsed before).
 #if SABLE_HAVE_WORD256 && !defined(__AVX2__)
 #define SABLE_TARGET_AVX2 __attribute__((target("avx2")))
 #else

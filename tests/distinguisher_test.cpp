@@ -1,9 +1,10 @@
 // The distinguisher pipeline's contract:
 //
-//  * every wrapped campaign (cpa/dom/mtd/multi_cpa) is BIT-IDENTICAL to
-//    the pre-pipeline formulation — per-shard streaming accumulators over
-//    the streamed campaign, reduced by the fixed-shape merge tree (or, for
-//    MTD, the ordered prefix fold over checkpoint-split sub-blocks) —
+//  * every single attack (engine.attack with a CPA/DoM/MTD/multi-CPA
+//    distinguisher) is BIT-IDENTICAL to the pre-pipeline formulation —
+//    per-shard streaming accumulators over the streamed campaign,
+//    reduced by the fixed-shape merge tree (or, for MTD, the ordered
+//    prefix fold over checkpoint-split sub-blocks) —
 //    which is exactly the reference reconstructed by hand here; MTD is
 //    also checked against the naive prefix oracle (dpa_reference.hpp);
 //  * the second-order centered-product CPA matches the retained-trace
@@ -82,7 +83,7 @@ void expect_same_result(const AttackResult& a, const AttackResult& b) {
   EXPECT_EQ(a.margin, b.margin);
 }
 
-// ---- wrapped campaigns vs the pre-pipeline formulation --------------------
+// ---- single-distinguisher attacks vs the pre-pipeline formulation ---------
 
 TEST(DistinguisherPipelineTest, CpaCampaignBitIdenticalToManualShards) {
   const RoundSpec round = present_round(2, LogicStyle::kSablGenuine);
@@ -102,7 +103,10 @@ TEST(DistinguisherPipelineTest, CpaCampaignBitIdenticalToManualShards) {
                  });
   ASSERT_EQ(shards.size(), 5u);
   const AttackResult reference = merge_shard_tree(std::move(shards)).result();
-  expect_same_result(engine.cpa_campaign(options, selector), reference);
+  expect_same_result(
+      engine.attack(options, CpaDistinguisher(
+                                 engine.spec(selector.sbox_index), selector)),
+      reference);
 }
 
 TEST(DistinguisherPipelineTest, DomCampaignBitIdenticalToManualShards) {
@@ -119,7 +123,10 @@ TEST(DistinguisherPipelineTest, DomCampaignBitIdenticalToManualShards) {
                    shards.back().add_block(pts, samples, n);
                  });
   const AttackResult reference = merge_shard_tree(std::move(shards)).result();
-  expect_same_result(engine.dom_campaign(options, selector), reference);
+  expect_same_result(
+      engine.attack(options, DomDistinguisher(
+                                 engine.spec(selector.sbox_index), selector)),
+      reference);
 }
 
 TEST(DistinguisherPipelineTest, MtdCampaignBitIdenticalToManualShards) {
@@ -186,7 +193,10 @@ TEST(DistinguisherPipelineTest, MtdCampaignBitIdenticalToManualShards) {
         }
       });
   const MtdResult reference = mtd_from_history(std::move(history));
-  const MtdResult result = engine.mtd_campaign(options, selector, checkpoints);
+  const MtdResult result = engine.attack(
+      options, MtdDistinguisher(engine.spec(), selector,
+                                round.sub_word(options.key.data(), 0),
+                                checkpoints, options.num_traces));
   EXPECT_EQ(result.disclosed, reference.disclosed);
   EXPECT_EQ(result.mtd, reference.mtd);
   ASSERT_EQ(result.rank_history.size(), reference.rank_history.size());
@@ -218,7 +228,8 @@ TEST(DistinguisherPipelineTest, MultiCpaCampaignBitIdenticalToManualShards) {
   const MultiAttackResult reference =
       merge_shard_tree(std::move(shards)).result();
   const MultiAttackResult result =
-      engine.multi_cpa_campaign(options, selector);
+      engine.attack(options,
+                    MultiCpaDistinguisher(engine.spec(), selector, width));
   expect_same_result(result.combined, reference.combined);
   EXPECT_EQ(result.best_sample, reference.best_sample);
 }
@@ -244,7 +255,8 @@ TEST(SecondOrderCpaTest, MatchesRetainedTraceReference) {
   const SecondOrderAttackResult reference = reference::second_order_cpa(
       retained, round.sboxes[0], selector.model);
   const SecondOrderAttackResult result =
-      engine.second_order_cpa_campaign(options, selector);
+      engine.attack(options,
+                    SecondOrderCpaDistinguisher(engine.spec(), selector));
 
   ASSERT_EQ(result.combined.score.size(), reference.combined.score.size());
   for (std::size_t g = 0; g < reference.combined.score.size(); ++g) {
@@ -304,17 +316,24 @@ TEST(DistinguisherPipelineTest, OnePassAllSubkeysMatchesIndependentCampaigns) {
   const RoundSpec round = present_round(4, LogicStyle::kStaticCmos);
   const CampaignOptions options = reference_options(round);
   TraceEngine engine(round, kTech);
-  const std::vector<AttackResult> one_pass =
-      engine.cpa_campaign_all_subkeys(options, PowerModel::kHammingWeight);
+  std::vector<CpaDistinguisher> one_pass;
+  for (std::size_t i = 0; i < round.num_sboxes(); ++i) {
+    one_pass.emplace_back(
+        round.sboxes[i],
+        AttackSelector{.sbox_index = i, .model = PowerModel::kHammingWeight});
+  }
+  std::vector<Distinguisher*> list;
+  for (CpaDistinguisher& cpa : one_pass) list.push_back(&cpa);
+  engine.run_distinguishers(options, list);
   ASSERT_EQ(one_pass.size(), round.num_sboxes());
   for (std::size_t i = 0; i < round.num_sboxes(); ++i) {
-    const AttackResult independent = engine.cpa_campaign(
-        options,
-        AttackSelector{.sbox_index = i, .model = PowerModel::kHammingWeight});
-    expect_same_result(one_pass[i], independent);
+    const AttackResult independent = engine.attack(
+        options, CpaDistinguisher(engine.spec(i), one_pass[i].selector()));
+    expect_same_result(one_pass[i].result(), independent);
     // Every subkey must actually be recovered from the single campaign —
     // static CMOS leaks, and each instance's neighbours are only noise.
-    EXPECT_EQ(one_pass[i].best_guess, round.sub_word(options.key.data(), i))
+    EXPECT_EQ(one_pass[i].result().best_guess,
+              round.sub_word(options.key.data(), i))
         << "sbox " << i;
   }
 }
@@ -333,10 +352,14 @@ TEST(DistinguisherPipelineTest, MixedKindsShareOneCampaignUnchanged) {
   std::vector<Distinguisher*> all = {&cpa, &dom, &second};
   engine.run_distinguishers(options, all);
 
-  expect_same_result(cpa.result(), engine.cpa_campaign(options, cpa_sel));
-  expect_same_result(dom.result(), engine.dom_campaign(options, dom_sel));
-  const SecondOrderAttackResult solo =
-      engine.second_order_cpa_campaign(options, cpa_sel);
+  expect_same_result(cpa.result(),
+                     engine.attack(options, CpaDistinguisher(
+                                                round.sboxes[0], cpa_sel)));
+  expect_same_result(dom.result(),
+                     engine.attack(options, DomDistinguisher(
+                                                round.sboxes[1], dom_sel)));
+  const SecondOrderAttackResult solo = engine.attack(
+      options, SecondOrderCpaDistinguisher(round.sboxes[0], cpa_sel));
   expect_same_result(second.result().combined, solo.combined);
   EXPECT_EQ(second.result().best_pair_first, solo.best_pair_first);
   EXPECT_EQ(second.result().best_pair_second, solo.best_pair_second);
@@ -392,6 +415,26 @@ TEST(DistinguisherPipelineTest, ValidatesSpecAgainstRound) {
   CpaDistinguisher fresh(present_spec(),
                          AttackSelector{.model = PowerModel::kHammingWeight});
   EXPECT_THROW(fresh.result(), InvalidArgument);
+
+  // The checks a single attack gets from engine.spec(), the distinguisher
+  // and run_distinguishers: instance index, DoM output bit, sampled row
+  // width.
+  const RoundSpec pair = present_round(2, LogicStyle::kStaticCmos);
+  TraceEngine pair_engine(pair, kTech);
+  EXPECT_THROW(pair_engine.spec(2), InvalidArgument);
+  EXPECT_THROW(
+      engine.attack(options,
+                    DomDistinguisher(present_spec(),
+                                     AttackSelector{.bit = present_spec()
+                                                               .out_bits})),
+      InvalidArgument);
+  EXPECT_THROW(
+      engine.attack(options, MultiCpaDistinguisher(
+                                 present_spec(),
+                                 AttackSelector{
+                                     .model = PowerModel::kHammingWeight},
+                                 engine.target().num_levels() + 1)),
+      InvalidArgument);
 }
 
 TEST(CampaignShardSizeTest, ClampsSmallBlocksToOneLaneWord) {

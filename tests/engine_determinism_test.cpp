@@ -96,13 +96,14 @@ TEST(EngineDeterminismTest, CpaCampaignIsBitIdenticalAcrossThreadCounts) {
   const AttackSelector selector{.model = PowerModel::kHammingWeight};
   TraceEngine reference_engine(present_spec(), LogicStyle::kStaticCmos,
                                kTech);
-  const AttackResult reference =
-      reference_engine.cpa_campaign(options, selector);
+  const AttackResult reference = reference_engine.attack(
+      options, CpaDistinguisher(present_spec(), selector));
   EXPECT_EQ(reference.best_guess, options.key[0]);
   for (std::size_t threads : thread_counts_under_test()) {
     TraceEngine engine(present_spec(), LogicStyle::kStaticCmos, kTech);
     options.num_threads = threads;
-    const AttackResult result = engine.cpa_campaign(options, selector);
+    const AttackResult result =
+        engine.attack(options, CpaDistinguisher(present_spec(), selector));
     ASSERT_EQ(result.score.size(), reference.score.size());
     for (std::size_t g = 0; g < reference.score.size(); ++g) {
       // EXPECT_EQ on doubles is exact equality: bit-identical, not close.
@@ -119,13 +120,13 @@ TEST(EngineDeterminismTest, DomCampaignIsBitIdenticalAcrossThreadCounts) {
   options.num_threads = 1;
   TraceEngine reference_engine(present_spec(), LogicStyle::kStaticCmos,
                                kTech);
-  const AttackResult reference =
-      reference_engine.dom_campaign(options, AttackSelector{.bit = 0});
+  const AttackResult reference = reference_engine.attack(
+      options, DomDistinguisher(present_spec(), AttackSelector{.bit = 0}));
   for (std::size_t threads : thread_counts_under_test()) {
     TraceEngine engine(present_spec(), LogicStyle::kStaticCmos, kTech);
     options.num_threads = threads;
-    const AttackResult result =
-        engine.dom_campaign(options, AttackSelector{.bit = 0});
+    const AttackResult result = engine.attack(
+        options, DomDistinguisher(present_spec(), AttackSelector{.bit = 0}));
     ASSERT_EQ(result.score.size(), reference.score.size());
     for (std::size_t g = 0; g < reference.score.size(); ++g) {
       EXPECT_EQ(result.score[g], reference.score[g])
@@ -141,14 +142,18 @@ TEST(EngineDeterminismTest, MtdCampaignIsBitIdenticalAcrossThreadCounts) {
   TraceEngine reference_engine(present_spec(), LogicStyle::kStaticCmos,
                                kTech);
   const AttackSelector selector{.model = PowerModel::kHammingWeight};
-  const MtdResult reference =
-      reference_engine.mtd_campaign(options, selector, checkpoints);
+  const auto make_mtd = [&] {
+    return MtdDistinguisher(
+        present_spec(), selector,
+        reference_engine.round().sub_word(options.key.data(), 0), checkpoints,
+        options.num_traces);
+  };
+  const MtdResult reference = reference_engine.attack(options, make_mtd());
   EXPECT_TRUE(reference.disclosed);
   for (std::size_t threads : thread_counts_under_test()) {
     TraceEngine engine(present_spec(), LogicStyle::kStaticCmos, kTech);
     options.num_threads = threads;
-    const MtdResult result =
-        engine.mtd_campaign(options, selector, checkpoints);
+    const MtdResult result = engine.attack(options, make_mtd());
     EXPECT_EQ(result.disclosed, reference.disclosed) << threads;
     EXPECT_EQ(result.mtd, reference.mtd) << threads;
     ASSERT_EQ(result.rank_history.size(), reference.rank_history.size());
@@ -307,8 +312,9 @@ TEST(MergeTest, EngineCpaEqualsFixedShapeTreeMerge) {
   const AttackResult tree = merge_shard_tree(std::move(shards)).result();
 
   TraceEngine engine2(spec, LogicStyle::kStaticCmos, kTech);
-  const AttackResult campaign = engine2.cpa_campaign(
-      options, AttackSelector{.model = PowerModel::kHammingWeight});
+  const AttackResult campaign = engine2.attack(
+      options, CpaDistinguisher(
+                   spec, AttackSelector{.model = PowerModel::kHammingWeight}));
   ASSERT_EQ(campaign.score.size(), tree.score.size());
   for (std::size_t g = 0; g < tree.score.size(); ++g) {
     EXPECT_EQ(campaign.score[g], tree.score[g]) << g;
@@ -344,14 +350,15 @@ TEST(EngineDeterminismTest, RoundCpaCampaignBitIdenticalAcrossThreadCounts) {
   const AttackSelector selector{.sbox_index = 3,
                                 .model = PowerModel::kHammingWeight};
   TraceEngine reference_engine(round, kTech);
-  const AttackResult reference =
-      reference_engine.cpa_campaign(options, selector);
+  const AttackResult reference = reference_engine.attack(
+      options, CpaDistinguisher(round.sboxes[selector.sbox_index], selector));
   const std::size_t hw =
       std::max<std::size_t>(1, std::thread::hardware_concurrency());
   for (std::size_t threads : {std::size_t{1}, std::size_t{2}, hw}) {
     TraceEngine engine(round, kTech);
     options.num_threads = threads;
-    const AttackResult result = engine.cpa_campaign(options, selector);
+    const AttackResult result = engine.attack(
+        options, CpaDistinguisher(round.sboxes[selector.sbox_index], selector));
     ASSERT_EQ(result.score.size(), reference.score.size());
     for (std::size_t g = 0; g < reference.score.size(); ++g) {
       EXPECT_EQ(result.score[g], reference.score[g])
@@ -382,12 +389,15 @@ TEST(EngineDeterminismTest, RoundCpaCampaignBitIdenticalAcrossLaneWidths) {
   const AttackSelector selector{.sbox_index = 5,
                                 .model = PowerModel::kHammingWeight};
   TraceEngine engine(round, kTech);
-  const AttackResult reference = engine.cpa_campaign(options, selector);
+  const AttackResult reference = engine.attack(
+      options, CpaDistinguisher(round.sboxes[selector.sbox_index], selector));
   for (std::size_t width : runtime_lane_widths()) {
     for (std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
       options.lane_width = width;
       options.num_threads = threads;
-      const AttackResult result = engine.cpa_campaign(options, selector);
+      const AttackResult result = engine.attack(
+          options,
+          CpaDistinguisher(round.sboxes[selector.sbox_index], selector));
       ASSERT_EQ(result.score.size(), reference.score.size());
       for (std::size_t g = 0; g < reference.score.size(); ++g) {
         EXPECT_EQ(result.score[g], reference.score[g])
@@ -418,16 +428,18 @@ TEST(EngineDeterminismTest, SecondOrderCampaignBitIdenticalAcrossThreadsAndWidth
   const AttackSelector selector{.sbox_index = 1,
                                 .model = PowerModel::kHammingWeight};
   TraceEngine engine(round, kTech);
-  const SecondOrderAttackResult reference =
-      engine.second_order_cpa_campaign(options, selector);
+  const SecondOrderAttackResult reference = engine.attack(
+      options,
+      SecondOrderCpaDistinguisher(round.sboxes[selector.sbox_index], selector));
   for (std::size_t width : runtime_lane_widths()) {
     for (std::size_t threads :
          {std::size_t{1}, std::size_t{2},
           std::max<std::size_t>(1, std::thread::hardware_concurrency())}) {
       options.lane_width = width;
       options.num_threads = threads;
-      const SecondOrderAttackResult result =
-          engine.second_order_cpa_campaign(options, selector);
+      const SecondOrderAttackResult result = engine.attack(
+          options, SecondOrderCpaDistinguisher(
+                       round.sboxes[selector.sbox_index], selector));
       ASSERT_EQ(result.combined.score.size(),
                 reference.combined.score.size());
       for (std::size_t g = 0; g < reference.combined.score.size(); ++g) {
@@ -455,8 +467,24 @@ TEST(EngineDeterminismTest, AllSubkeysCampaignBitIdenticalAcrossThreadsAndWidths
   options.num_threads = 1;
   options.lane_width = 64;
   TraceEngine engine(round, kTech);
-  const std::vector<AttackResult> reference =
-      engine.cpa_campaign_all_subkeys(options, PowerModel::kHammingWeight);
+  // One CpaDistinguisher per instance, all sharing one campaign.
+  const auto all_subkeys = [&] {
+    std::vector<CpaDistinguisher> attacks;
+    for (std::size_t i = 0; i < round.num_sboxes(); ++i) {
+      attacks.emplace_back(
+          round.sboxes[i],
+          AttackSelector{.sbox_index = i, .model = PowerModel::kHammingWeight});
+    }
+    std::vector<Distinguisher*> list;
+    for (CpaDistinguisher& attack : attacks) list.push_back(&attack);
+    engine.run_distinguishers(options, list);
+    std::vector<AttackResult> results;
+    for (const CpaDistinguisher& attack : attacks) {
+      results.push_back(attack.result());
+    }
+    return results;
+  };
+  const std::vector<AttackResult> reference = all_subkeys();
   ASSERT_EQ(reference.size(), 4u);
   for (std::size_t width : runtime_lane_widths()) {
     for (std::size_t threads :
@@ -464,9 +492,7 @@ TEST(EngineDeterminismTest, AllSubkeysCampaignBitIdenticalAcrossThreadsAndWidths
           std::max<std::size_t>(1, std::thread::hardware_concurrency())}) {
       options.lane_width = width;
       options.num_threads = threads;
-      const std::vector<AttackResult> results =
-          engine.cpa_campaign_all_subkeys(options,
-                                          PowerModel::kHammingWeight);
+      const std::vector<AttackResult> results = all_subkeys();
       ASSERT_EQ(results.size(), reference.size());
       for (std::size_t i = 0; i < reference.size(); ++i) {
         for (std::size_t g = 0; g < reference[i].score.size(); ++g) {
@@ -494,7 +520,8 @@ TEST(EngineDeterminismTest, AutotunedShardsBitIdenticalAcrossThreadCounts) {
   const AttackSelector selector{.model = PowerModel::kHammingWeight};
   TraceEngine engine(present_spec(), LogicStyle::kStaticCmos, kTech);
   const TraceSet reference = engine.run(options);
-  const AttackResult cpa_reference = engine.cpa_campaign(options, selector);
+  const AttackResult cpa_reference =
+      engine.attack(options, CpaDistinguisher(present_spec(), selector));
   EXPECT_EQ(cpa_reference.best_guess, options.key[0]);
   for (std::size_t threads : thread_counts_under_test()) {
     options.num_threads = threads;
@@ -506,7 +533,8 @@ TEST(EngineDeterminismTest, AutotunedShardsBitIdenticalAcrossThreadCounts) {
       ASSERT_EQ(traces.samples[i], reference.samples[i])
           << "threads " << threads << " trace " << i;
     }
-    const AttackResult cpa = engine.cpa_campaign(options, selector);
+    const AttackResult cpa =
+        engine.attack(options, CpaDistinguisher(present_spec(), selector));
     ASSERT_EQ(cpa.score.size(), cpa_reference.score.size());
     for (std::size_t g = 0; g < cpa_reference.score.size(); ++g) {
       EXPECT_EQ(cpa.score[g], cpa_reference.score[g])
@@ -530,7 +558,8 @@ TEST(EngineDeterminismTest, CampaignsBitIdenticalAcrossDispatchTiers) {
   options.lane_width = 64;
   const TraceSet reference = engine.run(options);
   const AttackSelector selector{.model = PowerModel::kHammingWeight};
-  const AttackResult cpa_reference = engine.cpa_campaign(options, selector);
+  const AttackResult cpa_reference =
+      engine.attack(options, CpaDistinguisher(present_spec(), selector));
   for (DispatchTier tier : {DispatchTier::kPortable, DispatchTier::kAvx2,
                             DispatchTier::kAvx512}) {
     ScopedDispatchTierCap cap(tier);
@@ -547,7 +576,8 @@ TEST(EngineDeterminismTest, CampaignsBitIdenticalAcrossDispatchTiers) {
               << "tier " << to_string(tier) << " width " << width
               << " threads " << threads << " trace " << i;
         }
-        const AttackResult cpa = engine.cpa_campaign(options, selector);
+        const AttackResult cpa =
+            engine.attack(options, CpaDistinguisher(present_spec(), selector));
         ASSERT_EQ(cpa.score.size(), cpa_reference.score.size());
         for (std::size_t g = 0; g < cpa_reference.score.size(); ++g) {
           EXPECT_EQ(cpa.score[g], cpa_reference.score[g])

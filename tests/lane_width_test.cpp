@@ -265,15 +265,22 @@ TEST(LaneWidthTest, AttackCampaignsBitIdenticalAcrossLaneWidths) {
     TraceEngine engine(present_spec(), style, kTech);
     CampaignOptions options = sharded_options();
     options.lane_width = 64;
-    const AttackResult cpa_ref = engine.cpa_campaign(options, cpa_sel);
+    const AttackResult cpa_ref =
+        engine.attack(options, CpaDistinguisher(engine.spec(), cpa_sel));
+    const AttackSelector dom_sel{.bit = 0};
     const AttackResult dom_ref =
-        engine.dom_campaign(options, AttackSelector{.bit = 0});
+        engine.attack(options, DomDistinguisher(engine.spec(), dom_sel));
     const auto checkpoints = default_checkpoints(options.num_traces);
-    const MtdResult mtd_ref =
-        engine.mtd_campaign(options, cpa_sel, checkpoints);
+    const auto make_mtd = [&] {
+      return MtdDistinguisher(engine.spec(), cpa_sel,
+                              engine.round().sub_word(options.key.data(), 0),
+                              checkpoints, options.num_traces);
+    };
+    const MtdResult mtd_ref = engine.attack(options, make_mtd());
     for (std::size_t width : runtime_lane_widths()) {
       options.lane_width = width;
-      const AttackResult cpa = engine.cpa_campaign(options, cpa_sel);
+      const AttackResult cpa =
+          engine.attack(options, CpaDistinguisher(engine.spec(), cpa_sel));
       ASSERT_EQ(cpa.score.size(), cpa_ref.score.size());
       for (std::size_t g = 0; g < cpa_ref.score.size(); ++g) {
         // EXPECT_EQ on doubles is exact: bit-identical, not just <= 1e-12.
@@ -283,12 +290,12 @@ TEST(LaneWidthTest, AttackCampaignsBitIdenticalAcrossLaneWidths) {
       EXPECT_EQ(cpa.best_guess, cpa_ref.best_guess);
       EXPECT_EQ(cpa.margin, cpa_ref.margin);
       const AttackResult dom =
-          engine.dom_campaign(options, AttackSelector{.bit = 0});
+          engine.attack(options, DomDistinguisher(engine.spec(), dom_sel));
       for (std::size_t g = 0; g < dom_ref.score.size(); ++g) {
         EXPECT_EQ(dom.score[g], dom_ref.score[g])
             << to_string(style) << " width " << width << " guess " << g;
       }
-      const MtdResult mtd = engine.mtd_campaign(options, cpa_sel, checkpoints);
+      const MtdResult mtd = engine.attack(options, make_mtd());
       EXPECT_EQ(mtd.disclosed, mtd_ref.disclosed);
       EXPECT_EQ(mtd.mtd, mtd_ref.mtd);
       ASSERT_EQ(mtd.rank_history.size(), mtd_ref.rank_history.size());
@@ -312,11 +319,15 @@ TEST(LaneWidthTest, MultiCpaCampaignBitIdenticalAcrossLaneWidthsAllStyles) {
     CampaignOptions options = sharded_options();
     options.lane_width = 64;
     const MultiAttackResult reference =
-        engine.multi_cpa_campaign(options, selector);
+        engine.attack(options, MultiCpaDistinguisher(
+                                   engine.spec(), selector,
+                                   engine.target().num_levels()));
     for (std::size_t width : runtime_lane_widths()) {
       options.lane_width = width;
       const MultiAttackResult result =
-          engine.multi_cpa_campaign(options, selector);
+          engine.attack(options, MultiCpaDistinguisher(
+                                     engine.spec(), selector,
+                                     engine.target().num_levels()));
       ASSERT_EQ(result.combined.score.size(),
                 reference.combined.score.size());
       for (std::size_t g = 0; g < reference.combined.score.size(); ++g) {
@@ -405,8 +416,10 @@ TEST(LaneWidthTest, PersistentWorkerPoolReusesCleanWorkers) {
 
   // Attack campaigns after trace campaigns share the same pool.
   const AttackSelector selector{.model = PowerModel::kHammingWeight};
-  const AttackResult pooled_cpa = reused.cpa_campaign(second, selector);
-  const AttackResult fresh_cpa = fresh.cpa_campaign(second, selector);
+  const AttackResult pooled_cpa =
+      reused.attack(second, CpaDistinguisher(present_spec(), selector));
+  const AttackResult fresh_cpa =
+      fresh.attack(second, CpaDistinguisher(present_spec(), selector));
   ASSERT_EQ(pooled_cpa.score.size(), fresh_cpa.score.size());
   for (std::size_t g = 0; g < fresh_cpa.score.size(); ++g) {
     EXPECT_EQ(pooled_cpa.score[g], fresh_cpa.score[g]) << g;

@@ -477,9 +477,10 @@ TEST(TraceEngineTest, StreamingCampaignEqualsRetainedCampaign) {
   const std::vector<double> batch = reference::cpa_scores(
       traces, present_spec(), PowerModel::kHammingWeight);
 
+  const AttackSelector hw{.model = PowerModel::kHammingWeight};
   TraceEngine engine2(present_spec(), LogicStyle::kStaticCmos, kTech);
   const AttackResult streamed =
-      engine2.cpa_campaign(options, AttackSelector{.model = PowerModel::kHammingWeight});
+      engine2.attack(options, CpaDistinguisher(present_spec(), hw));
   ASSERT_EQ(streamed.score.size(), batch.size());
   for (std::size_t g = 0; g < batch.size(); ++g) {
     EXPECT_NEAR(streamed.score[g], batch[g], 1e-12) << g;
@@ -490,8 +491,10 @@ TEST(TraceEngineTest, StreamingCampaignEqualsRetainedCampaign) {
   // retained traces, checkpoint by checkpoint.
   TraceEngine engine3(present_spec(), LogicStyle::kStaticCmos, kTech);
   const auto checkpoints = default_checkpoints(options.num_traces);
-  const MtdResult streamed_mtd = engine3.mtd_campaign(
-      options, AttackSelector{.model = PowerModel::kHammingWeight}, checkpoints);
+  const MtdResult streamed_mtd = engine3.attack(
+      options, MtdDistinguisher(present_spec(), hw,
+                                engine3.round().sub_word(options.key.data(), 0),
+                                checkpoints, options.num_traces));
   const MtdResult prefix = reference::cpa_prefix_mtd(
       traces, options.key[0], checkpoints, present_spec(),
       PowerModel::kHammingWeight);
@@ -529,8 +532,10 @@ TEST(TraceEngineTest, ConstantPowerStylesStayFlatAtScale) {
   options.noise_sigma = 1e-16;
   options.seed = 0x5AB1;
   const AttackResult result =
-      engine.cpa_campaign(
-          options, AttackSelector{.model = PowerModel::kHammingWeight});
+      engine.attack(options,
+                    CpaDistinguisher(present_spec(),
+                                     AttackSelector{
+                                         .model = PowerModel::kHammingWeight}));
   EXPECT_LT(result.score[result.best_guess], 0.1);
 }
 
