@@ -43,6 +43,23 @@ void deposit_bits(std::uint8_t* state, std::size_t offset, std::size_t bits,
   }
 }
 
+// Where one instance's sub-word sits in a packed state. Sub-words that
+// sit inside one byte (all the built-in layouts) read and write with a
+// single shift and mask; only byte-straddling instances take the per-bit
+// path.
+struct Placement {
+  std::size_t offset;
+  std::size_t bits;
+  std::size_t byte;
+  unsigned shift;
+  bool in_byte;
+};
+
+Placement placement(std::size_t offset, std::size_t bits) {
+  return {offset, bits, offset >> 3, static_cast<unsigned>(offset & 7),
+          (offset & 7) + bits <= 8};
+}
+
 }  // namespace
 
 // ---- RoundSpec ------------------------------------------------------------
@@ -76,12 +93,19 @@ void RoundSpec::set_sub_word(std::uint8_t* state, std::size_t index,
 
 void RoundSpec::sub_words(const std::uint8_t* states, std::size_t count,
                           std::size_t index, std::uint8_t* out) const {
-  const std::size_t offset = bit_offset(index);
-  const std::size_t bits = sboxes[index].in_bits;
+  const Placement p = placement(bit_offset(index), sboxes[index].in_bits);
   const std::size_t stride = state_bytes();
+  if (p.in_byte) {
+    const std::uint8_t* bytes = states + p.byte;
+    const std::uint8_t mask = static_cast<std::uint8_t>((1u << p.bits) - 1u);
+    for (std::size_t t = 0; t < count; ++t) {
+      out[t] = static_cast<std::uint8_t>((bytes[t * stride] >> p.shift) & mask);
+    }
+    return;
+  }
   for (std::size_t t = 0; t < count; ++t) {
-    out[t] = static_cast<std::uint8_t>(
-        round_target_detail::extract_bits(states + t * stride, offset, bits));
+    out[t] = static_cast<std::uint8_t>(round_target_detail::extract_bits(
+        states + t * stride, p.offset, p.bits));
   }
 }
 
@@ -100,30 +124,18 @@ void RoundSpec::fill_random_states(Rng& rng, std::size_t count,
                                    std::uint8_t* states) const {
   const std::size_t stride = state_bytes();
   std::fill(states, states + count * stride, std::uint8_t{0});
-  // Per-instance placement, hoisted out of the state loop. Sub-words that
-  // sit inside one byte (all the built-in layouts) deposit with a single
-  // OR; only byte-straddling instances pay the per-bit deposit.
-  struct Placement {
-    std::uint64_t range;
-    std::size_t byte;
-    unsigned shift;
-    std::size_t offset;
-    std::size_t bits;
-    bool in_byte;
-  };
+  // Per-instance placement, hoisted out of the state loop.
   std::vector<Placement> places;
   places.reserve(sboxes.size());
   std::size_t offset = 0;
   for (const SboxSpec& spec : sboxes) {
-    places.push_back({std::uint64_t{1} << spec.in_bits, offset >> 3,
-                      static_cast<unsigned>(offset & 7), offset,
-                      spec.in_bits, (offset & 7) + spec.in_bits <= 8});
+    places.push_back(placement(offset, spec.in_bits));
     offset += spec.in_bits;
   }
   for (std::size_t t = 0; t < count; ++t) {
     std::uint8_t* state = states + t * stride;
     for (const Placement& p : places) {
-      const std::uint64_t value = rng.below(p.range);
+      const std::uint64_t value = rng.below(std::uint64_t{1} << p.bits);
       if (p.in_byte) {
         state[p.byte] |= static_cast<std::uint8_t>(value << p.shift);
       } else {

@@ -62,6 +62,25 @@ TEST(RoundSpecTest, PackedStateLayout) {
   EXPECT_EQ(mixed.sub_word(packed.data(), 2), 0x80u);
   EXPECT_THROW(mixed.pack_subkeys({0x7, 0x3F}), InvalidArgument);
   EXPECT_THROW(mixed.set_sub_word(state.data(), 0, 0x10), InvalidArgument);
+
+  // Batch extraction matches sub_word on random states, for in-byte
+  // instances (shifted nibbles) and byte-straddling ones (the mixed
+  // round's 6- and 8-bit instances) alike, over a ragged count.
+  for (const RoundSpec& round : {present16, mixed}) {
+    const std::size_t count = 131;
+    const std::size_t stride = round.state_bytes();
+    std::vector<std::uint8_t> states(count * stride);
+    Rng rng(0x5B);
+    round.fill_random_states(rng, count, states.data());
+    std::vector<std::uint8_t> out(count);
+    for (std::size_t i = 0; i < round.num_sboxes(); ++i) {
+      round.sub_words(states.data(), count, i, out.data());
+      for (std::size_t t = 0; t < count; ++t) {
+        ASSERT_EQ(out[t], round.sub_word(states.data() + t * stride, i))
+            << "instance " << i << " state " << t;
+      }
+    }
+  }
 }
 
 TEST(RoundTargetTest, EveryInstanceComputesItsReferenceSbox) {
