@@ -1,11 +1,16 @@
-// Trace-generation throughput on the paper's PRESENT S-box target, for
-// the questions the campaign benchmark (campbench/) does not ask: the
-// scalar one-at-a-time simulation against the 64-wide bit-parallel
-// engine on one thread (acceptance: batched >= 10x scalar for every
-// style), the per-lane-width speedup, the 64x64 bit-transpose lane
-// packing against the per-bit gather it replaced, and the v1-vs-v2
-// corpus sizes. Thread scaling, replay and attack throughput are
-// campbench's, measured on the real campaign driver.
+// Simulation throughput on the paper's PRESENT S-box target, for the
+// questions the campaign benchmark (campbench/) does not ask: the scalar
+// one-at-a-time simulation against the 64-wide bit-parallel kernel on one
+// thread (acceptance: batched >= 10x scalar for every style), the
+// per-lane-width kernel speedup, the 64x64 bit-transpose lane packing
+// against the per-bit gather it replaced, and the v1-vs-v2 corpus sizes.
+// Thread scaling, replay and attack throughput are campbench's, measured
+// on the real campaign driver.
+//
+// Campaigns gather from exact energy tables and run the kernel only to
+// build them, so the batched columns time the kernel directly: the loop
+// the tables are built with (RoundTargetT::simulate_instance), over the
+// same 200000 inputs the scalar column simulates.
 //
 // Every timed row runs kRepeats times and reports the median with its
 // [q1, q3] spread, so a change can be told from noise. The gate compares
@@ -24,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "crypto/round_target.hpp"
 #include "crypto/sboxes.hpp"
 #include "crypto/target.hpp"
 #include "engine/trace_engine.hpp"
@@ -71,24 +77,6 @@ Spread repeat(Fn&& rate) {
   return {at(0.5), at(0.25), at(0.75)};
 }
 
-double engine_tps(TraceEngine& engine, std::size_t lane_width,
-                  double* checksum) {
-  CampaignOptions options;
-  options.num_traces = kNumTraces;
-  options.key = {0xB};
-  options.seed = 0xBE7C;
-  options.num_threads = 1;
-  options.lane_width = lane_width;
-  double sum = 0.0;
-  const auto start = Clock::now();
-  engine.stream(options, [&](const std::uint8_t*, const double* samples,
-                             std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i) sum += samples[i];
-  });
-  *checksum += sum;
-  return static_cast<double>(kNumTraces) / seconds_since(start);
-}
-
 // One scalar repeat on a fresh clone, so every repeat simulates the same
 // traces from the same circuit state.
 double scalar_tps(const SboxTarget& prototype, double* checksum) {
@@ -104,6 +92,54 @@ double scalar_tps(const SboxTarget& prototype, double* checksum) {
   return static_cast<double>(kNumTraces) / seconds_since(start);
 }
 
+// The keyed S-box inputs scalar_tps() simulates: the same draws, with the
+// noise draw that follows each plaintext skipped.
+std::vector<std::uint8_t> scalar_inputs() {
+  Rng rng(0xBE7C);
+  std::vector<std::uint8_t> xs(kNumTraces);
+  for (std::uint8_t& x : xs) {
+    x = static_cast<std::uint8_t>(rng.below(16) ^ 0xB);
+    rng.gaussian();
+  }
+  return xs;
+}
+
+// One batched repeat: the kernel loop over every input on a fresh
+// simulator, kLanes per cycle, one thread.
+template <typename W>
+double kernel_tps(const RoundTargetT<W>& target,
+                  const std::vector<std::uint8_t>& xs, double* checksum) {
+  std::vector<double> energies(xs.size());
+  const auto start = Clock::now();
+  target.simulate_instance(0, xs.data(), xs.size(), energies.data());
+  const double elapsed = seconds_since(start);
+  for (double e : energies) *checksum += e;
+  return static_cast<double>(xs.size()) / elapsed;
+}
+
+// kernel_tps() at a runtime lane width, on that width's variant of the
+// 64-lane target.
+Spread kernel_spread(const RoundTarget& target, std::size_t width,
+                     const std::vector<std::uint8_t>& xs, double* checksum) {
+  const auto at = [&](const auto& variant) {
+    return repeat([&] { return kernel_tps(variant, xs, checksum); });
+  };
+  switch (width) {
+    case 128:
+      return at(target.with_lane_width<Word128>());
+#if SABLE_HAVE_WORD256
+    case 256:
+      return at(target.with_lane_width<Word256>());
+#endif
+#if SABLE_HAVE_WORD512
+    case 512:
+      return at(target.with_lane_width<Word512>());
+#endif
+    default:
+      return at(target);
+  }
+}
+
 struct GateRow {
   const char* style = nullptr;
   Spread scalar_tps;
@@ -111,7 +147,7 @@ struct GateRow {
   double speedup = 0.0;
 };
 
-GateRow measure_gate(LogicStyle style) {
+GateRow measure_gate(LogicStyle style, const std::vector<std::uint8_t>& xs) {
   const Technology tech = Technology::generic_180nm();
   GateRow row;
   row.style = to_string(style);
@@ -120,8 +156,8 @@ GateRow measure_gate(LogicStyle style) {
   row.scalar_tps = repeat([&] { return scalar_tps(prototype, &checksum); });
   // The gate stays pinned to the historic 64-bit path; the lane table
   // below sweeps the wider words.
-  TraceEngine engine(present_spec(), style, tech);
-  row.batched_tps = repeat([&] { return engine_tps(engine, 64, &checksum); });
+  const RoundTarget target(present_round(1, style), tech);
+  row.batched_tps = kernel_spread(target, 64, xs, &checksum);
   row.speedup = row.batched_tps.median / row.scalar_tps.median;
   if (checksum == 0.0) std::fprintf(stderr, "unexpected zero checksum\n");
   return row;
@@ -134,25 +170,22 @@ struct LaneRow {
   double speedup_vs_64 = 0.0;
 };
 
-// Batched one-thread traces/sec per (lane width, style), over every width
-// the runtime dispatcher allows here: campaigns are bit-identical across
+// Kernel one-thread traces/sec per (lane width, style), over every width
+// the runtime dispatcher allows here: the kernel is bit-identical across
 // widths, so the median ratio to the 64-bit row is the pure lane-width
-// speedup. One engine per style keeps the per-width target variants and
-// worker pool warm across the sweep.
+// speedup of the loop the energy tables are built with.
 std::vector<LaneRow> measure_lane_widths(
-    const std::vector<std::size_t>& widths) {
+    const std::vector<std::size_t>& widths,
+    const std::vector<std::uint8_t>& xs) {
   std::vector<LaneRow> rows;
   const Technology tech = Technology::generic_180nm();
   for (LogicStyle style : kGateStyles) {
-    TraceEngine engine(present_spec(), style, tech);
+    const RoundTarget target(present_round(1, style), tech);
     double checksum = 0.0;
     const std::size_t first = rows.size();
     for (std::size_t width : widths) {
       rows.push_back({width, to_string(style),
-                      repeat([&] {
-                        return engine_tps(engine, width, &checksum);
-                      }),
-                      0.0});
+                      kernel_spread(target, width, xs, &checksum), 0.0});
     }
     // 64 is always a runtime width, and it is the first one.
     for (std::size_t i = first; i < rows.size(); ++i) {
@@ -398,15 +431,16 @@ int main(int argc, char** argv) {
   }
 
   std::printf(
-      "== trace engine throughput: PRESENT S-box, %zu traces, 1 thread, "
+      "== simulation throughput: PRESENT S-box, %zu traces, 1 thread, "
       "median [q1, q3] of %d repeats ==\n",
       kNumTraces, kRepeats);
   std::printf("%-22s %27s %27s %8s %6s\n", "logic style", "scalar [Mt/s]",
               "64-lane [Mt/s]", "batched", ">=10x");
   bool all_pass = true;
   std::vector<GateRow> gate;
+  const std::vector<std::uint8_t> xs = scalar_inputs();
   for (LogicStyle style : kGateStyles) {
-    const GateRow r = measure_gate(style);
+    const GateRow r = measure_gate(style, xs);
     const bool pass = r.speedup >= kGate;
     all_pass = all_pass && pass;
     std::printf("%-22s", r.style);
@@ -416,10 +450,11 @@ int main(int argc, char** argv) {
     gate.push_back(r);
   }
 
-  // Lane widths: the pure word-width speedup, one thread, bit-identical
-  // campaigns (the gate table above stays pinned to the 64-bit path).
+  // Lane widths: the pure word-width speedup of the kernel, one thread,
+  // bit-identical energies (the gate table above stays pinned to the
+  // 64-bit path).
   const std::vector<std::size_t> widths = runtime_lane_widths();
-  const std::vector<LaneRow> lanes = measure_lane_widths(widths);
+  const std::vector<LaneRow> lanes = measure_lane_widths(widths, xs);
   std::printf("\nlane widths (%s tier, 1 thread, %zu traces):\n%-22s %6s %27s "
               "%8s\n",
               to_string(active_tier()), kNumTraces, "logic style", "width",

@@ -4,10 +4,10 @@
 // The circuit computes the S-box only; the key addition happens at the
 // stimulus (x = pt XOR key), which models the standard first-order DPA
 // setting where the attacker predicts S-box output bits from plaintext and
-// key guess. Encryptions run through the 64-wide bit-parallel circuit
-// simulators via the underlying RoundTarget; for specs of up to 8 input
-// bits the packed one-byte round state IS the plaintext byte, so the
-// adapter forwards pointers without repacking.
+// key guess. Encryptions run through the underlying RoundTarget (batches
+// gather from its energy tables, trace() runs the kernel); for specs of
+// up to 8 input bits the packed one-byte round state IS the plaintext
+// byte, so the adapter forwards pointers without repacking.
 #pragma once
 
 #include <cstdint>
@@ -33,8 +33,8 @@ class SboxTarget {
     return round_.trace(&pt, &key, noise_sigma, rng);
   }
 
-  /// Batched encryptions, 64 per simulated cycle: writes one power sample
-  /// per plaintext into `out[0..count)`. Noise is drawn from `rng` in
+  /// Batched encryptions, gathered from the round target's energy table:
+  /// writes one power sample per plaintext into `out[0..count)`. Noise is drawn from `rng` in
   /// ascending trace order, so a campaign is reproducible regardless of
   /// the internal batch width.
   void trace_batch(const std::uint8_t* pts, std::size_t count,

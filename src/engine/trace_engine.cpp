@@ -156,8 +156,8 @@ void validate_key(const RoundSpec& round, const CampaignOptions& options) {
 // S-box the historic one-draw-per-trace stream, bit for bit); together
 // with the per-shard noise stream and fresh simulator state this makes
 // the result a pure function of (options, shard, kind) — the invariant
-// every determinism guarantee rests on. The simulation word width is a
-// pure throughput knob (see lane_word.hpp).
+// every determinism guarantee rests on. The lane word width only picks
+// the kernel the target's energy tables are built with.
 template <typename W>
 void simulate_shard(RoundTargetT<W>& target, const CampaignOptions& options,
                     const ShardLayout& layout, std::size_t shard,

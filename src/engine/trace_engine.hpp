@@ -38,15 +38,17 @@
 // constants alone (see campaign_shard_size), never from the machine.
 //
 // Lane widths: CampaignOptions::lane_width picks the batch word the
-// campaign simulates with — 64 (the historic kernel), 128 (portable
-// pair), or 256/512 (AVX2/AVX-512 vectors). The default build carries
+// campaign's energy tables are built with — 64 (the historic kernel), 128
+// (portable pair), or 256/512 (AVX2/AVX-512 vectors); the traces
+// themselves are gathered from the tables (crypto/round_target.hpp). The default build carries
 // every kernel width side by side and probes the CPU once at runtime
 // (util/cpu_dispatch.hpp); 0 (the default) selects the widest word the
 // running machine supports, resolved per campaign and never on the
 // per-trace hot path. Shard boundaries stay 64-granular and per-lane
 // arithmetic (including the static-CMOS logical 64-lane history) is
 // width-invariant, so every width — and therefore every dispatch tier —
-// generates bit-identical campaigns; wider words only raise throughput.
+// generates bit-identical campaigns; wider words only speed up the
+// one-time table build.
 // Workers are persistent: each engine keeps the per-width target
 // variants, a pool of worker clones, AND a parked thread pool
 // (engine/worker_pool.hpp) alive across campaigns, so sweeps of many
@@ -96,7 +98,7 @@ struct CampaignOptions {
   /// Worker threads the campaign shards are scheduled over.
   /// 0 = hardware concurrency. Any value yields bit-identical results.
   std::size_t num_threads = 0;
-  /// Batch-lane word width the campaign simulates with: 64, 128, or a
+  /// Batch-lane word width the energy tables are built with: 64, 128, or a
   /// SIMD width (256/512) the running CPU supports; see
   /// runtime_lane_widths(). 0 = widest the machine offers, probed at
   /// runtime. Any value yields bit-identical results.

@@ -16,9 +16,19 @@ double mean(const std::vector<double>& xs) {
 }
 
 double stddev(const std::vector<double>& xs) {
-  const double mu = mean(xs);
+  // Deviations are taken from the first sample before centring, as the
+  // streaming accumulators do: a constant set then has exactly zero
+  // spread, where centring on its rounded mean would leave a residue.
+  SABLE_REQUIRE(!xs.empty(), "stddev of empty sample set");
+  const double shift = xs.front();
+  double sum = 0.0;
+  for (double x : xs) sum += x - shift;
+  const double mu = sum / static_cast<double>(xs.size());
   double var = 0.0;
-  for (double x : xs) var += (x - mu) * (x - mu);
+  for (double x : xs) {
+    const double d = (x - shift) - mu;
+    var += d * d;
+  }
   return std::sqrt(var / static_cast<double>(xs.size()));
 }
 

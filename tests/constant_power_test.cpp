@@ -8,6 +8,13 @@
 // live and replayed from recorded scalar and sampled corpora, at every
 // lane width the machine runs.
 //
+// Before any attack, the claim is checked exhaustively on the circuit
+// itself: every instance's exact energy table (one entry per input, and
+// per previous input where the style has history) must hold one scalar
+// energy and one per-level row, bit for bit, with NED = NSD = 0 exactly —
+// on the PRESENT S-box and on the AES S-box. The leaking styles pin how
+// many distinct energies and rows their tables hold.
+//
 // Exact, not approximate: each accumulator shifts its samples by a
 // sample it saw, so a constant stream leaves every shifted sum an exact
 // 0.0 and no rounding residue can order the guesses. For second order
@@ -17,9 +24,12 @@
 // these ragged 448-trace shards.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstddef>
+#include <cstdint>
 #include <cstdio>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -28,6 +38,7 @@
 #include "dpa/mtd.hpp"
 #include "engine/trace_engine.hpp"
 #include "io/corpus.hpp"
+#include "power/stats.hpp"
 #include "util/cpu_dispatch.hpp"
 
 namespace sable {
@@ -117,7 +128,49 @@ void expect_nothing_extracted(const SampledAttackSet& set,
                            what + " second-order CPA");
 }
 
+// Distinct scalar energies and distinct per-level rows over every entry
+// of an instance's table, compared bit for bit.
+struct DistinctEntries {
+  std::size_t energies = 0;
+  std::size_t rows = 0;
+};
+
+DistinctEntries distinct_entries(const RoundTarget::EnergyTable& table) {
+  std::set<std::uint64_t> energies;
+  for (double e : table.energy) {
+    energies.insert(std::bit_cast<std::uint64_t>(e));
+  }
+  std::set<std::vector<std::uint64_t>> rows;
+  for (std::size_t entry = 0; entry < table.energy.size(); ++entry) {
+    std::vector<std::uint64_t> row;
+    for (std::size_t l = 0; l < table.levels; ++l) {
+      row.push_back(
+          std::bit_cast<std::uint64_t>(table.rows[entry * table.levels + l]));
+    }
+    rows.insert(row);
+  }
+  return {energies.size(), rows.size()};
+}
+
 class ConstantPowerTest : public testing::TestWithParam<LogicStyle> {};
+
+TEST_P(ConstantPowerTest, EveryTableEntryIsBitwiseEqual) {
+  for (const RoundSpec& round : {present_round(1, GetParam()),
+                                 aes_subbytes_round(1, GetParam())}) {
+    const RoundTarget target(round, kTech);
+    const RoundTarget::EnergyTable& table = target.energy_table(0);
+    const std::string where = std::string(to_string(GetParam())) + " " +
+                              std::to_string(table.inputs) + " inputs";
+    ASSERT_EQ(table.energy.size(), table.history * table.inputs) << where;
+    ASSERT_EQ(table.rows.size(), table.energy.size() * table.levels) << where;
+    const DistinctEntries distinct = distinct_entries(table);
+    EXPECT_EQ(distinct.energies, 1u) << where;
+    EXPECT_EQ(distinct.rows, 1u) << where;
+    const SpreadMetrics spread = spread_metrics(table.energy);
+    EXPECT_EQ(spread.ned, 0.0) << where;
+    EXPECT_EQ(spread.nsd, 0.0) << where;
+  }
+}
 
 TEST_P(ConstantPowerTest, EveryDistinguisherScoresExactlyZero) {
   const RoundSpec round = present_round(1, GetParam());
@@ -151,6 +204,30 @@ TEST_P(ConstantPowerTest, EveryDistinguisherScoresExactlyZero) {
     ASSERT_TRUE(engine.replay(CorpusReader(path), replayed_sampled.list));
     expect_nothing_extracted(replayed_sampled, where + " replayed");
     std::remove(path.c_str());
+  }
+}
+
+// The leaking styles' tables, pinned: distinct (scalar energies, rows)
+// per PRESENT and AES S-box. Static CMOS counts run over (p, x) with p =
+// none included — 17 * 16 and 257 * 256 entries.
+TEST(LeakingTablesTest, DistinctEntryCountsArePinned) {
+  struct Expected {
+    LogicStyle style;
+    DistinctEntries present;
+    DistinctEntries aes;
+  };
+  for (const Expected& e :
+       {Expected{LogicStyle::kSablGenuine, {9, 14}, {164, 256}},
+        Expected{LogicStyle::kWddlMismatched, {16, 16}, {256, 256}},
+        Expected{LogicStyle::kStaticCmos, {22, 196}, {359, 65537}}}) {
+    const RoundTarget present(present_round(1, e.style), kTech);
+    const DistinctEntries p = distinct_entries(present.energy_table(0));
+    EXPECT_EQ(p.energies, e.present.energies) << to_string(e.style);
+    EXPECT_EQ(p.rows, e.present.rows) << to_string(e.style);
+    const RoundTarget aes(aes_subbytes_round(1, e.style), kTech);
+    const DistinctEntries a = distinct_entries(aes.energy_table(0));
+    EXPECT_EQ(a.energies, e.aes.energies) << to_string(e.style);
+    EXPECT_EQ(a.rows, e.aes.rows) << to_string(e.style);
   }
 }
 

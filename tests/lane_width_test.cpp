@@ -4,14 +4,18 @@
 // throughput knob — campaigns generate BIT-IDENTICAL traces and attack
 // statistics at every supported width, including ragged tail batches and
 // the static-CMOS logical 64-lane history. Also covers the central
-// lane_mask() helper (including its abort on out-of-range counts) and the
-// engine's persistent cross-campaign worker pool.
+// lane_mask() helper (including its abort on out-of-range counts), the
+// engine's persistent cross-campaign worker pool, and the energy tables:
+// built at every width by that width's kernel, they must be bitwise equal
+// to the 64-lane tables, and gathering from them must match the per-lane
+// kernel reference.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "crypto/round_target.hpp"
@@ -19,6 +23,7 @@
 #include "dpa/attack.hpp"
 #include "dpa/mtd.hpp"
 #include "engine/trace_engine.hpp"
+#include "lane_reference.hpp"
 #include "power/trace.hpp"
 #include "util/cpu_dispatch.hpp"
 #include "util/lane_word.hpp"
@@ -181,8 +186,8 @@ std::vector<double> trace_with_width(const RoundTarget& base,
 
 TEST(LaneWidthTest, TraceBatchBitIdenticalAcrossWidthsAndRaggedTails) {
   // 777 leaves a partial tail batch at every width (777 = 12*64 + 9),
-  // and N = 1 vs N = 3 covers both the single-S-box fast path and the
-  // general multi-instance path.
+  // and N = 1 vs N = 3 covers a one-byte state and a multi-instance
+  // state.
   const std::size_t count = 777;
   for (LogicStyle style : all_styles()) {
     for (std::size_t n : {std::size_t{1}, std::size_t{3}}) {
@@ -221,6 +226,107 @@ TEST(LaneWidthTest, TraceBatchBitIdenticalAcrossWidthsAndRaggedTails) {
         }
       }
 #endif
+    }
+  }
+}
+
+// ---- energy tables across widths ------------------------------------------
+
+// One batch call's scalar samples and time-resolved rows.
+struct BatchOutput {
+  std::vector<double> samples;
+  std::vector<double> rows;
+};
+
+// Builds every instance table of `base`'s width-W variant, requires it
+// bitwise equal to the 64-lane table, then runs `calls` through the
+// variant's trace_batch and trace_batch_sampled without a reset between
+// them. The tables are the only place the wide kernels still run per
+// input, so this is their coverage.
+template <typename W>
+std::vector<BatchOutput> tables_and_batches(
+    const RoundTarget& base,
+    const std::vector<std::vector<std::uint8_t>>& calls, std::size_t count,
+    const std::vector<std::uint8_t>& key, const std::string& where) {
+  RoundTargetT<W> target = base.with_lane_width<W>();
+  // Both batch paths advance the lane history, so each gets a target.
+  RoundTargetT<W> target_sampled = target.clone();
+  for (std::size_t i = 0; i < base.round().num_sboxes(); ++i) {
+    const auto& reference = base.energy_table(i);
+    const auto& table = target.energy_table(i);
+    EXPECT_EQ(table.inputs, reference.inputs) << where;
+    EXPECT_EQ(table.history, reference.history) << where;
+    EXPECT_EQ(table.levels, reference.levels) << where;
+    EXPECT_EQ(table.energy, reference.energy) << where << " instance " << i;
+    EXPECT_EQ(table.rows, reference.rows) << where << " instance " << i;
+  }
+  std::vector<BatchOutput> outputs;
+  Rng no_noise(0);
+  for (const std::vector<std::uint8_t>& pts : calls) {
+    BatchOutput out{std::vector<double>(count),
+                    std::vector<double>(count * target.num_levels())};
+    target.trace_batch(pts.data(), count, key.data(), 0.0, no_noise,
+                       out.samples.data());
+    target_sampled.trace_batch_sampled(pts.data(), count, key.data(), 0.0,
+                                       no_noise, out.rows.data());
+    outputs.push_back(std::move(out));
+  }
+  return outputs;
+}
+
+TEST(LaneWidthTest, TablesAndGatherMatchTheKernelAtEveryWidth) {
+  // Two ragged calls (131 = 2*64 + 3) without a reset, so CMOS history
+  // crosses the call boundary and the tail at every width.
+  const std::size_t count = 131;
+  for (LogicStyle style : all_styles()) {
+    for (const RoundSpec& round : table_test_rounds(style)) {
+      RoundTarget base(round, kTech);
+      const std::vector<std::uint8_t> key(round.state_bytes(), 0x3C);
+      std::vector<std::vector<std::uint8_t>> calls(2);
+      Rng pt_rng(0x7AB1E5);
+      LaneReference lanes(base);
+      std::vector<BatchOutput> expected;
+      for (std::vector<std::uint8_t>& pts : calls) {
+        pts.resize(count * round.state_bytes());
+        round.fill_random_states(pt_rng, count, pts.data());
+        expected.push_back({lanes.scalar(pts.data(), count, key.data()),
+                            lanes.sampled(pts.data(), count, key.data())});
+      }
+      for (std::size_t width : runtime_lane_widths()) {
+        const std::string where = std::string(to_string(style)) + " n " +
+                                  std::to_string(round.num_sboxes()) +
+                                  " bits " +
+                                  std::to_string(round.state_bits()) +
+                                  " width " + std::to_string(width);
+        std::vector<BatchOutput> got;
+        switch (width) {
+          case 64:
+            got = tables_and_batches<std::uint64_t>(base, calls, count, key,
+                                                    where);
+            break;
+          case 128:
+            got = tables_and_batches<Word128>(base, calls, count, key, where);
+            break;
+#if SABLE_HAVE_WORD256
+          case 256:
+            got = tables_and_batches<Word256>(base, calls, count, key, where);
+            break;
+#endif
+#if SABLE_HAVE_WORD512
+          case 512:
+            got = tables_and_batches<Word512>(base, calls, count, key, where);
+            break;
+#endif
+          default:
+            FAIL() << "unexpected runtime lane width " << width;
+        }
+        ASSERT_EQ(got.size(), expected.size()) << where;
+        for (std::size_t c = 0; c < got.size(); ++c) {
+          EXPECT_EQ(got[c].samples, expected[c].samples)
+              << where << " call " << c;
+          EXPECT_EQ(got[c].rows, expected[c].rows) << where << " call " << c;
+        }
+      }
     }
   }
 }

@@ -3,19 +3,21 @@
 // Under test: the packed-state layout (nibble packing for 4-bit S-boxes,
 // heterogeneous widths), per-instance functional correctness, summed
 // power against the single-S-box targets, per-subkey attack selection,
-// algorithmic-noise MTD monotonicity, and the time-resolved
-// multi-sample CPA campaign against the retained-trace multisample attack.
+// algorithmic-noise MTD monotonicity, the time-resolved multi-sample CPA
+// campaign against the retained-trace multisample attack, and the
+// table-gathered batch path against the per-lane simulator kernel.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <vector>
 
-#include "cell/circuit_sim.hpp"
 #include "crypto/round_target.hpp"
 #include "crypto/target.hpp"
 #include "dpa/attack.hpp"
 #include "dpa/mtd.hpp"
 #include "engine/trace_engine.hpp"
+#include "lane_reference.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -138,33 +140,104 @@ TEST(RoundTargetTest, SummedPowerEqualsSumOfSingleTargets) {
   }
 }
 
+std::vector<LogicStyle> all_styles() {
+  return {LogicStyle::kStaticCmos,         LogicStyle::kSablGenuine,
+          LogicStyle::kSablFullyConnected, LogicStyle::kSablEnhanced,
+          LogicStyle::kWddlBalanced,       LogicStyle::kWddlMismatched};
+}
+
 TEST(RoundTargetTest, BatchedRoundTracesMatchScalar) {
-  // CMOS carries per-lane history, so lane L of a batch must track a
-  // scalar target fed every 64th wide plaintext.
-  const RoundSpec round = present_round(2, LogicStyle::kStaticCmos);
-  RoundTarget batch(round, kTech);
-  const std::vector<std::uint8_t> key = round.pack_subkeys({0x4, 0xD});
-  const std::size_t count = 192;
-  const std::size_t stride = round.state_bytes();
-  Rng pts_rng(0xABC);
-  std::vector<std::uint8_t> pts(count * stride, 0);
-  for (std::size_t t = 0; t < count; ++t) {
-    for (std::size_t j = 0; j < round.num_sboxes(); ++j) {
-      round.set_sub_word(pts.data() + t * stride, j, pts_rng.below(16));
+  // The batch path gathers from energy tables; lane L of it must track a
+  // scalar kernel target fed every 64th wide plaintext (CMOS carries
+  // per-lane history). Two consecutive ragged calls without a reset: the
+  // history must cross the call boundary and the 131 = 2*64 + 3 tail,
+  // where lanes 3..63 keep the state of the first call's second step.
+  // Then reset_state() must return every lane to fresh.
+  const std::size_t count = 131;
+  for (LogicStyle style : all_styles()) {
+    for (const RoundSpec& round : table_test_rounds(style)) {
+      const std::string where = std::string(to_string(style)) + " n " +
+                                std::to_string(round.num_sboxes()) + " bits " +
+                                std::to_string(round.state_bits());
+      // Both batch paths advance the lane history, so each gets a target.
+      RoundTarget batch(round, kTech);
+      RoundTarget batch_sampled = batch.clone();
+      LaneReference reference(batch);
+      const std::size_t stride = round.state_bytes();
+      const std::size_t width = batch.num_levels();
+      std::vector<std::uint8_t> key(stride, 0xA5);
+      Rng pt_rng(0x7AB1E);
+      Rng no_noise(0);
+      std::vector<double> out(count);
+      std::vector<double> rows(count * width);
+      std::vector<std::uint8_t> first_pts;
+      for (int call = 0; call < 2; ++call) {
+        std::vector<std::uint8_t> pts(count * stride);
+        round.fill_random_states(pt_rng, count, pts.data());
+        if (call == 0) first_pts = pts;
+        batch.trace_batch(pts.data(), count, key.data(), 0.0, no_noise,
+                          out.data());
+        batch_sampled.trace_batch_sampled(pts.data(), count, key.data(), 0.0,
+                                          no_noise, rows.data());
+        const std::vector<double> expected =
+            reference.scalar(pts.data(), count, key.data());
+        const std::vector<double> expected_rows =
+            reference.sampled(pts.data(), count, key.data());
+        for (std::size_t t = 0; t < count; ++t) {
+          ASSERT_EQ(out[t], expected[t])
+              << where << " call " << call << " trace " << t;
+        }
+        for (std::size_t i = 0; i < count * width; ++i) {
+          ASSERT_EQ(rows[i], expected_rows[i])
+              << where << " call " << call << " row entry " << i;
+        }
+      }
+      batch.reset_state();
+      batch.trace_batch(first_pts.data(), count, key.data(), 0.0, no_noise,
+                        out.data());
+      LaneReference fresh(batch);
+      const std::vector<double> expected =
+          fresh.scalar(first_pts.data(), count, key.data());
+      for (std::size_t t = 0; t < count; ++t) {
+        ASSERT_EQ(out[t], expected[t]) << where << " after reset, trace " << t;
+      }
     }
   }
-  std::vector<double> out(count);
-  Rng no_noise(0);
-  batch.trace_batch(pts.data(), count, key.data(), 0.0, no_noise, out.data());
-  constexpr std::size_t kLanes = SablGateSimBatch::kLanes;
-  for (std::size_t lane = 0; lane < kLanes; ++lane) {
-    RoundTarget scalar(round, kTech);
-    for (std::size_t t = lane; t < count; t += kLanes) {
-      EXPECT_EQ(out[t],
-                scalar.trace(pts.data() + t * stride, key.data(), 0.0,
-                             no_noise))
-          << "lane " << lane << " trace " << t;
-    }
+}
+
+TEST(RoundEngineTest, ConcurrentFirstUseBuildsEachTableOnce) {
+  // A fresh engine's first campaign: four workers reach the shared,
+  // not-yet-built tables of a 16-S-box round at once, so every table
+  // build races its once_flag (the ThreadSanitizer job runs this).
+  // The traces must match a one-thread engine's.
+  for (LogicStyle style :
+       {LogicStyle::kStaticCmos, LogicStyle::kWddlMismatched}) {
+    const RoundSpec round = present_round(16, style);
+    CampaignOptions options;
+    options.num_traces = 2048;
+    options.key = round.pack_subkeys(std::vector<std::size_t>(16, 0x9));
+    options.noise_sigma = 1e-16;
+    options.seed = 0xF1257;
+    options.shard_size = 128;
+    options.num_threads = 4;
+    TraceEngine threaded(round, kTech);
+    const TraceSet traces = threaded.run(options);
+    std::vector<double> rows;
+    threaded.stream_sampled(options, [&](const std::uint8_t*,
+                                         const double* r, std::size_t n) {
+      rows.insert(rows.end(), r, r + n * threaded.target().num_levels());
+    });
+    options.num_threads = 1;
+    TraceEngine serial(round, kTech);
+    const TraceSet expected = serial.run(options);
+    std::vector<double> expected_rows;
+    serial.stream_sampled(options, [&](const std::uint8_t*, const double* r,
+                                       std::size_t n) {
+      expected_rows.insert(expected_rows.end(), r,
+                           r + n * serial.target().num_levels());
+    });
+    EXPECT_EQ(traces.samples, expected.samples) << to_string(style);
+    EXPECT_EQ(rows, expected_rows) << to_string(style);
   }
 }
 
