@@ -11,7 +11,10 @@ namespace sable {
 namespace {
 
 constexpr char kStateMagic[8] = {'S', 'A', 'B', 'L', 'S', 'T', 'A', 'T'};
-constexpr std::uint32_t kStateVersion = 1;
+// Version 2: shard states accumulated over the ziggurat noise stream.
+// Version 1 files hold Box–Muller-noise shards; resuming or merging them
+// would mix two noise streams in one campaign, so they are refused.
+constexpr std::uint32_t kStateVersion = 2;
 
 }  // namespace
 

@@ -12,7 +12,7 @@
 //
 // Layout (little-endian):
 //   magic              8 bytes  "SABLSTAT"
-//   version            u32      (1)
+//   version            u32      (2; 1 = pre-ziggurat noise, refused)
 //   manifest           CampaignManifest
 //   num_distinguishers u64      (d-order = the caller's distinguisher list)
 //   covered_count      u64

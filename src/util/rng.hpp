@@ -3,6 +3,12 @@
 // xoshiro256** (Blackman & Vigna) — fast, high-quality, and identical output
 // on every platform, which matters because the DPA experiments must be
 // re-runnable bit-for-bit.
+//
+// Normal variates come from a 256-layer Marsaglia–Tsang ziggurat. Its
+// tables are computed at compile time from IEEE basic operations only, and
+// ~98.5% of draws take one next() and no libm call, so the noise stream
+// does not depend on the host's libm variant except on the rare wedge and
+// tail paths (std::exp / std::log).
 #pragma once
 
 #include <cstdint>
@@ -23,7 +29,9 @@ class Rng {
   /// Uniform double in [0, 1).
   double uniform();
 
-  /// Standard normal variate (Box–Muller; caches the spare value).
+  /// Standard normal variate (256-layer ziggurat). A draw consumes one
+  /// next() on the fast path, more only on its rejection paths, and never
+  /// caches a value between calls.
   double gaussian();
 
   /// Bernoulli trial with probability p.
@@ -31,8 +39,6 @@ class Rng {
 
  private:
   std::uint64_t s_[4];
-  double spare_ = 0.0;
-  bool has_spare_ = false;
 };
 
 }  // namespace sable

@@ -15,6 +15,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -42,12 +43,14 @@ namespace {
 const Technology kTech = Technology::generic_180nm();
 
 // Content fingerprint of tests/data/golden_v1.sablcorp (see
-// tests/data/README.md for the generation recipe). Trace simulation is
-// bit-identical across dispatch tiers, so this value is
-// machine-independent. The golden_v2_*.sablcorp fixtures record the
-// SAME campaign and the fingerprint hashes decoded traces, so they
+// tests/data/README.md for the generation recipe). CI checks that it
+// holds under every dispatch tier this suite runs at and with glibc's
+// FMA libm variants switched off (GLIBC_TUNABLES): the noise sampler
+// calls libm only on its rare wedge and tail paths, so a different
+// libm could still move it. The golden_v2_*.sablcorp fixtures record
+// the SAME campaign and the fingerprint hashes decoded traces, so they
 // share this value — codec-invariance is part of what the goldens pin.
-constexpr std::uint64_t kGoldenV1Fingerprint = 0x4da603cdc3c1c754ull;
+constexpr std::uint64_t kGoldenV1Fingerprint = 0xba63e18db342043dull;
 
 std::string temp_path(const std::string& name) {
   return testing::TempDir() + "campaign_io_" + name;
@@ -555,6 +558,33 @@ TEST_F(HostileInputTest, WrongMagicAndVersionThrowTyped) {
   expect_state_error(p3);
 }
 
+TEST_F(HostileInputTest, StateFromTheOldNoiseStreamIsRefused) {
+  // Version 1 campaign states hold shards simulated with the Box–Muller
+  // noise stream. Resuming or merging one into today's campaign would mix
+  // two noise streams, so the loader must refuse it as a bad file.
+  TraceEngine engine(present_spec(), LogicStyle::kStaticCmos, kTech);
+  CpaDistinguisher cpa(engine.spec(),
+                       AttackSelector{.model = PowerModel::kHammingWeight});
+  Distinguisher* const list[] = {&cpa};
+  const CampaignManifest manifest = engine.campaign_manifest(options_);
+  const auto fresh_states = [&manifest] {
+    ShardStates states(1);
+    states[0].resize(manifest.num_shards);
+    return states;
+  };
+  ShardStates loaded = fresh_states();
+  ASSERT_EQ(load_campaign_state(state_path_, manifest, list, loaded),
+            manifest.num_shards);
+
+  auto state = read_file(state_path_);
+  const std::uint32_t old_version = 1;
+  std::memcpy(state.data() + 8, &old_version, sizeof(old_version));
+  const std::string p = temp_path("old_stream.state");
+  write_bytes(p, state);
+  ShardStates refused = fresh_states();
+  EXPECT_THROW(load_campaign_state(p, manifest, list, refused), BadFileError);
+}
+
 TEST_F(HostileInputTest, ShardIndexOutOfBoundsThrows) {
   // The shard index lives right after the fixed header; smash the first
   // entry's offset to point far past EOF. The header is magic + version
@@ -805,7 +835,7 @@ TEST(CampaignIoTest, HostileDecodedSizeCeilingRejectedAtOpen) {
 // FNV-1a over every shard's decoded plaintext and sample bytes, in shard
 // order — the golden fixture's content fingerprint.
 std::uint64_t corpus_content_fingerprint(const CorpusReader& corpus) {
-  std::uint64_t h = 1469598103934665603ull;
+  std::uint64_t h = 14695981039346656037ull;
   const auto mix = [&h](const void* data, std::size_t n) {
     const auto* p = static_cast<const std::uint8_t*>(data);
     for (std::size_t i = 0; i < n; ++i) {

@@ -139,18 +139,36 @@ TEST(DpaTest, FullyConnectedSablResistsAttack) {
 }
 
 TEST(DpaTest, DomAttackRecoversKeyOnSomeOutputBit) {
-  // Single-bit difference-of-means is subject to ghost peaks, so a real
-  // attack checks every output bit; the correct key must win at least one.
+  // Single-bit difference-of-means cannot tell apart guesses that split
+  // the plaintexts the same way. A guess that induces the key's partition
+  // on the predicted bit, or its complement, sums the same traces into the
+  // same two means, so its score equals the key's bit for bit and index
+  // order alone decides the rank (on PRESENT bit 0, key 0xD ties with
+  // guesses 4, 5 and 12). So the key's rank says little; what the attack
+  // must show is that the key's partition class takes the top score on
+  // bit 0, and that no guess outside the class shares it.
   Rng rng(45);
   const std::uint8_t key = 0xD;
+  const std::size_t bit = 0;
   SboxTarget target(present_spec(), LogicStyle::kStaticCmos, kTech);
   const TraceSet traces = collect_traces(target, key, 6000, 1e-16, rng);
-  std::size_t best_rank = 99;
-  for (std::size_t bit = 0; bit < 4; ++bit) {
-    const AttackResult result = dom_attack(traces, present_spec(), bit);
-    best_rank = std::min(best_rank, result.rank_of(key));
+  const AttackResult result = dom_attack(traces, present_spec(), bit);
+  const auto partition = [bit](std::size_t guess) {
+    unsigned mask = 0;
+    for (unsigned pt = 0; pt < 16; ++pt) {
+      mask |= ((present_sbox(static_cast<std::uint8_t>(pt ^ guess)) >> bit) &
+               1u)
+              << pt;
+    }
+    return mask;
+  };
+  const double top = result.score[result.best_guess];
+  EXPECT_EQ(result.score[key], top);
+  for (std::size_t g = 0; g < result.score.size(); ++g) {
+    const bool twin = partition(g) == partition(key) ||
+                      partition(g) == (~partition(key) & 0xFFFFu);
+    EXPECT_EQ(result.score[g] == top, twin) << "guess " << g;
   }
-  EXPECT_EQ(best_rank, 0u);
 }
 
 TEST(MtdTest, DisclosureOrdering) {
