@@ -5,6 +5,8 @@
 // TU stays base-architecture clean.
 #include "dpa/block_stats.hpp"
 
+#include <cmath>
+
 #include "dpa/block_stats_impl.hpp"
 #include "util/error.hpp"
 
@@ -18,6 +20,14 @@ void require_block_pts(const std::uint64_t* counts,
                        std::size_t num_plaintexts) {
   for (std::size_t p = num_plaintexts; p < kBlockPts; ++p) {
     SABLE_REQUIRE(counts[p] == 0, "plaintext out of range");
+  }
+}
+
+void require_finite_block(const double* sum_sq, std::size_t width) {
+  for (std::size_t l = 0; l < width; ++l) {
+    SABLE_REQUIRE(std::isfinite(sum_sq[l]),
+                  "trace samples must be finite (the block holds a NaN or "
+                  "Inf sample)");
   }
 }
 
@@ -60,6 +70,16 @@ constexpr BlockStatKernels tier_kernels() {
 }
 
 }  // namespace
+
+void ScalarHistogram::compute(const std::uint8_t* pts, const double* samples,
+                              std::size_t n) {
+  count = n;
+  if (n == 0) return;
+  shift = samples[0];
+  block_stat_kernels(active_tier())
+      .histogram_scalar(pts, samples, n, shift, counts.data(), sums.data(),
+                        &sum_sq);
+}
 
 const BlockStatKernels& block_stat_kernels(DispatchTier tier) {
 #if SABLE_HAVE_WORD512

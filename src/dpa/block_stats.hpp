@@ -42,6 +42,7 @@
 // src/simd/ — selected once per block via block_stat_kernels(tier).
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -190,6 +191,26 @@ struct BlockStatKernels {
 /// bit-identical results; the tiers differ only in vector width).
 const BlockStatKernels& block_stat_kernels(DispatchTier tier);
 
+/// One block's scalar histogram, the first stage of every first-order
+/// scalar accumulator (CPA, DoM, MTD): over the block's `count` traces,
+/// the per-slot trace counts and Σ (x − shift) for all kBlockPts
+/// sub-plaintext slots, plus Σ (x − shift)², with shift = the block's
+/// first sample. It is a function of (sub-plaintexts, samples) alone, so
+/// the shard feed computes it once per attacked instance and shard and
+/// every scalar accumulator of that instance contracts the same one.
+struct ScalarHistogram {
+  std::size_t count = 0;
+  double shift = 0.0;
+  double sum_sq = 0.0;
+  std::array<std::uint64_t, detail::kBlockPts> counts{};
+  std::array<double, detail::kBlockPts> sums{};
+
+  /// Runs the active tier's histogram_scalar pass over the block (every
+  /// tier's result is bit-identical). An empty block leaves count 0.
+  void compute(const std::uint8_t* pts, const double* samples,
+               std::size_t count);
+};
+
 namespace detail {
 
 /// The hoisted form of the per-trace range check: the histogram pass
@@ -199,11 +220,19 @@ namespace detail {
 void require_block_pts(const std::uint64_t* counts,
                        std::size_t num_plaintexts);
 
+/// The once-per-block non-finite check: every histogram pass (scalar,
+/// sampled, pair) sums the squares of the shifted samples, and a NaN or
+/// ±Inf sample leaves that sum non-finite (so does a sample whose
+/// shifted square overflows), so checking the `width` column sums
+/// validates the whole block. Throws InvalidArgument.
+void require_finite_block(const double* sum_sq, std::size_t width);
+
 /// Working set of the block passes. Per thread rather than per
 /// accumulator: shard states, MTD snapshots and merged prefixes then
 /// carry only their logical moments, and a worker reuses one set across
 /// every block it accumulates, so the steady state never allocates.
 struct BlockScratch {
+  ScalarHistogram scalar;             // a block's private scalar histogram
   std::vector<std::uint64_t> counts;  // [kBlockPts]
   std::vector<double> sums;           // [kBlockPts * width]
   std::vector<double> shifts;         // [width]

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "crypto/round_target.hpp"
+#include "dpa/block_stats.hpp"
 #include "io/serial.hpp"
 #include "util/error.hpp"
 
@@ -48,6 +49,21 @@ void require_scalar(const ShardBlock& block) {
                 "scalar distinguishers consume one sample per trace");
 }
 
+// Traces [from, to) of a scalar block into a StreamingCpa or StreamingDom:
+// through the block's shared histogram when the range is the whole block,
+// else through the accumulator's own histogram pass.
+template <typename Acc>
+void add_scalar(Acc& acc, const ShardBlock& block, std::size_t from,
+                std::size_t to) {
+  if (block.histogram != nullptr && from == 0 && to == block.count) {
+    SABLE_ASSERT(block.histogram->count == block.count,
+                 "a block's shared histogram must cover the whole block");
+    acc.add_histogram(*block.histogram);
+  } else {
+    acc.add_block(block.sub_pts + from, block.data + from, to - from);
+  }
+}
+
 class CpaShardAccumulator final : public ShardAccumulator {
  public:
   explicit CpaShardAccumulator(StreamingCpa acc) : acc_(std::move(acc)) {}
@@ -57,7 +73,7 @@ class CpaShardAccumulator final : public ShardAccumulator {
   // across thread counts, lane widths and dispatch tiers.
   void accumulate(const ShardBlock& block) override {
     require_scalar(block);
-    acc_.add_block(block.sub_pts, block.data, block.count);
+    add_scalar(acc_, block, 0, block.count);
   }
   void merge(ShardAccumulator& other) override {
     acc_.merge(cast_peer<CpaShardAccumulator>(other).acc_);
@@ -77,7 +93,7 @@ class DomShardAccumulator final : public ShardAccumulator {
 
   void accumulate(const ShardBlock& block) override {
     require_scalar(block);
-    acc_.add_block(block.sub_pts, block.data, block.count);
+    add_scalar(acc_, block, 0, block.count);
   }
   void merge(ShardAccumulator& other) override {
     acc_.merge(cast_peer<DomShardAccumulator>(other).acc_);
@@ -140,7 +156,8 @@ class SecondOrderShardAccumulator final : public ShardAccumulator {
 // block at those checkpoints — the sub-block boundaries are a function of
 // the shard layout and the checkpoint ladder alone, so every snapshot is
 // bit-identical across threads, lane widths, dispatch tiers, resume and
-// merge.
+// merge. A shard no checkpoint splits (one at its end does not) is one
+// sub-block, the only case where the block's shared histogram applies.
 //
 // The ordered left fold settles the root (canonically the first shard):
 // its own snapshots are ranked directly (no prior prefix), and acc_
@@ -165,12 +182,11 @@ class MtdShardAccumulator final : public ShardAccumulator {
              std::upper_bound(ladder.begin(), ladder.end(), block.start);
          it != ladder.end() && *it <= block.start + block.count; ++it) {
       const std::size_t upto = *it - block.start;
-      acc_.add_block(block.sub_pts + done, block.data + done, upto - done);
+      add_scalar(acc_, block, done, upto);
       done = upto;
       snapshots_.emplace_back(*it, acc_);
     }
-    acc_.add_block(block.sub_pts + done, block.data + done,
-                   block.count - done);
+    add_scalar(acc_, block, done, block.count);
   }
 
   void merge(ShardAccumulator& other) override {

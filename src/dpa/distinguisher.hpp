@@ -26,8 +26,11 @@
 // campaigns they generalize.
 //
 // Running several distinguishers in one call shares the simulation: a
-// 16-subkey attack on a 16-S-box round costs one campaign, not sixteen
-// (sub-plaintext extraction is deduplicated per attacked instance). Mixing
+// 16-subkey attack on a 16-S-box round costs one campaign, not sixteen.
+// The per-instance work is shared too: per shard, each attacked
+// instance's sub-plaintexts are extracted once, and its scalar histogram
+// (dpa/block_stats.hpp) is computed once and handed to every scalar
+// accumulator of that instance through ShardBlock::histogram. Mixing
 // scalar and time-resolved distinguishers is allowed; each shard is then
 // simulated once per data kind with identical per-kind streams, keeping
 // both bit-identical to their single-kind campaigns.
@@ -52,18 +55,25 @@ enum class TraceDataKind {
   kSampled,  // num_levels() per-logic-level samples (trace_batch_sampled)
 };
 
+struct ScalarHistogram;  // dpa/block_stats.hpp
+
 /// One shard's worth of traces, as handed to ShardAccumulator::accumulate:
 /// `sub_pts` are the attacked instance's sub-plaintexts, `data` holds
 /// `count` traces of `width` doubles each (width 1 for kScalar, the
 /// target's level count for kSampled). `start` is the canonical campaign
 /// index of the first trace — ordered distinguishers (MTD) locate their
-/// checkpoints with it.
+/// checkpoints with it. `histogram`, when set, is the scalar histogram of
+/// exactly (sub_pts, data, count) — the shard feed computes it once per
+/// attacked instance for scalar blocks — and accumulators that contract
+/// it use it instead of running the pass themselves; left null, they
+/// compute it. Either way the result is bit-identical.
 struct ShardBlock {
   std::size_t start = 0;
   const std::uint8_t* sub_pts = nullptr;
   const double* data = nullptr;
   std::size_t count = 0;
   std::size_t width = 1;
+  const ScalarHistogram* histogram = nullptr;
 };
 
 class ByteReader;

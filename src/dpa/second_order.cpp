@@ -96,6 +96,7 @@ StreamingSecondOrderCpa::SumsView StreamingSecondOrderCpa::block_sums(
                             s.counts.data(), s.sums.data(),
                             s.sum_sq.data());
   detail::require_block_pts(s.counts.data(), P);
+  detail::require_finite_block(s.sum_sq.data(), L);
   const double n = static_cast<double>(count);
   for (std::size_t l = 0; l < L; ++l) {
     double t_sum = 0.0;

@@ -32,7 +32,8 @@
 //
 // and add_block runs no per-trace guess loop:
 //  1. histogram_sampled: plaintext counts (the range check is one sweep
-//     over them) and the block means;
+//     over them; the non-finite check reads its per-level Σ dx²) and
+//     the block means;
 //  2. histogram_pairs: per plaintext Σ dx_i and Σ dx_i·dx_j, plus the
 //     guess-free Σ dx², M3_iij, M3_ijj and M4 chains in trace order;
 //  3. one contract_sums GEMM of the L + L(L−1)/2 wide bins against the

@@ -25,6 +25,7 @@ constexpr std::uint32_t kDomShiftedTag = 0x53AB1008;
 using detail::block_scratch;
 using detail::BlockScratch;
 using detail::require_block_pts;
+using detail::require_finite_block;
 
 }  // namespace
 
@@ -45,31 +46,37 @@ StreamingCpa::StreamingCpa(const SboxSpec& spec, PowerModel model,
       m2_h_(num_guesses_, 0.0),
       c_ht_(num_guesses_, 0.0) {}
 
+// Shift by the block's first sample (ScalarHistogram): the per-plaintext
+// sums then carry the ~1e-15 J data-dependent variation, not the
+// ~1e-13 J energy offset, and the co-moments are shift-invariant.
 void StreamingCpa::add_block(const std::uint8_t* pts, const double* samples,
                              std::size_t count) {
+  ScalarHistogram& histogram = block_scratch().scalar;
+  histogram.compute(pts, samples, count);
+  add_histogram(histogram);
+}
+
+void StreamingCpa::add_histogram(const ScalarHistogram& histogram) {
+  const std::size_t count = histogram.count;
   if (count == 0) return;
+  require_block_pts(histogram.counts.data(), num_plaintexts_);
+  require_finite_block(&histogram.sum_sq, 1);
   const BlockStatKernels& kernels = block_stat_kernels(active_tier());
   BlockScratch& scratch = block_scratch(1, num_guesses_);
-  // Shift by the block's first sample: the per-plaintext sums then carry
-  // the ~1e-15 J data-dependent variation, not the ~1e-13 J energy
-  // offset, and the co-moments are shift-invariant.
-  const double shift = samples[0];
-  double sum_sq = 0.0;
-  kernels.histogram_scalar(pts, samples, count, shift, scratch.counts.data(),
-                           scratch.sums.data(), &sum_sq);
-  require_block_pts(scratch.counts.data(), num_plaintexts_);
   const double* pred = predictions_->data();
-  kernels.contract_counts(pred, scratch.counts.data(), num_plaintexts_,
+  kernels.contract_counts(pred, histogram.counts.data(), num_plaintexts_,
                           num_guesses_, scratch.sum_h.data(),
                           scratch.sum_h2.data());
-  kernels.contract_sums(pred, scratch.sums.data(), scratch.counts.data(),
+  kernels.contract_sums(pred, histogram.sums.data(), histogram.counts.data(),
                         num_plaintexts_, 1, num_guesses_, scratch.r.data());
   // Convert the block's raw (shifted) sums to Welford form, in place.
   const double n = static_cast<double>(count);
   double t_sum = 0.0;
-  for (std::size_t p = 0; p < num_plaintexts_; ++p) t_sum += scratch.sums[p];
-  const double mean_t = shift + t_sum / n;
-  const double m2_t = std::max(0.0, sum_sq - t_sum * t_sum / n);
+  for (std::size_t p = 0; p < num_plaintexts_; ++p) {
+    t_sum += histogram.sums[p];
+  }
+  const double mean_t = histogram.shift + t_sum / n;
+  const double m2_t = std::max(0.0, histogram.sum_sq - t_sum * t_sum / n);
   for (std::size_t g = 0; g < num_guesses_; ++g) {
     const double mh = scratch.sum_h[g] / n;
     scratch.sum_h[g] = mh;
@@ -179,22 +186,26 @@ StreamingDom::StreamingDom(const SboxSpec& spec, std::size_t bit)
 
 void StreamingDom::add_block(const std::uint8_t* pts, const double* samples,
                              std::size_t count) {
-  if (count == 0) return;
+  ScalarHistogram& histogram = block_scratch().scalar;
+  histogram.compute(pts, samples, count);
+  add_histogram(histogram);
+}
+
+// Shifted by the block's first sample, as CPA is; fold_partitions then
+// rebases the block onto the accumulator's shift.
+void StreamingDom::add_histogram(const ScalarHistogram& histogram) {
+  if (histogram.count == 0) return;
+  require_block_pts(histogram.counts.data(), num_plaintexts_);
+  require_finite_block(&histogram.sum_sq, 1);
   const BlockStatKernels& kernels = block_stat_kernels(active_tier());
   BlockScratch& scratch = block_scratch(1, num_guesses_);
-  // Shift by the block's first sample, as CPA does; fold_partitions then
-  // rebases the block onto the accumulator's shift.
-  const double shift = samples[0];
-  double sum_sq = 0.0;
-  kernels.histogram_scalar(pts, samples, count, shift, scratch.counts.data(),
-                           scratch.sums.data(), &sum_sq);
-  require_block_pts(scratch.counts.data(), num_plaintexts_);
-  kernels.contract_dom(predicted_bit_->data(), scratch.counts.data(),
-                       scratch.sums.data(), num_plaintexts_, num_guesses_,
+  kernels.contract_dom(predicted_bit_->data(), histogram.counts.data(),
+                       histogram.sums.data(), num_plaintexts_, num_guesses_,
                        scratch.sum_h.data(), scratch.sum_h2.data(),
                        scratch.cnt0.data(), scratch.cnt1.data());
-  fold_partitions(count, shift, scratch.sum_h.data(), scratch.sum_h2.data(),
-                  scratch.cnt0.data(), scratch.cnt1.data());
+  fold_partitions(histogram.count, histogram.shift, scratch.sum_h.data(),
+                  scratch.sum_h2.data(), scratch.cnt0.data(),
+                  scratch.cnt1.data());
 }
 
 void StreamingDom::fold_partitions(std::size_t count, double shift,
@@ -299,6 +310,7 @@ void StreamingMultiCpa::add_block(const std::uint8_t* pts, const double* rows,
                             scratch.counts.data(), scratch.sums.data(),
                             scratch.sum_sq.data());
   require_block_pts(scratch.counts.data(), num_plaintexts_);
+  require_finite_block(scratch.sum_sq.data(), width_);
   const double* pred = predictions_->data();
   kernels.contract_counts(pred, scratch.counts.data(), num_plaintexts_,
                           num_guesses_, scratch.sum_h.data(),

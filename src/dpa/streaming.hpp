@@ -13,10 +13,13 @@
 // state. Every accumulator in the dpa layer takes it, second-order CPA
 // included (dpa/second_order.hpp: a guess-free pair-moment pass, then
 // the same contraction GEMM), so no per-trace guess loop remains. The
-// engine's shard pipeline feeds add_block once per shard (MTD once per
-// sub-block between checkpoints), and the resident-trace entry points
-// (cpa_attack, dom_attack, cpa_attack_multisample) are one add_block
-// call over the whole trace set.
+// engine's shard pipeline feeds each shard once (MTD once per sub-block
+// between checkpoints); CPA and DoM split add_block into the histogram
+// pass and add_histogram, so the shard feed can compute one scalar
+// histogram per attacked instance and hand it to all of them. The
+// resident-trace entry points (cpa_attack, dom_attack,
+// cpa_attack_multisample) are one add_block call over the whole trace
+// set.
 //
 // Numerics: samples are accumulated relative to a shift (the block's
 // first sample) and folded as Welford-form moments (not raw-moment sums),
@@ -47,6 +50,7 @@ namespace sable {
 
 class ByteReader;
 class ByteWriter;
+struct ScalarHistogram;  // dpa/block_stats.hpp
 
 // Serialization (io/serial.hpp): every streaming accumulator has a
 // versionless tagged save()/load() pair embedded inside the versioned
@@ -67,13 +71,21 @@ class StreamingCpa {
   /// Block-factored hot path (dpa/block_stats.hpp): one O(count)
   /// histogram pass with no guess loop, one G×P contraction against the
   /// prediction table, then a pairwise fold of the block's moments into
-  /// the running state. The plaintext range check is hoisted to once per
-  /// block. Scores agree with the two-pass Pearson formulation to ~1e-13
+  /// the running state. The plaintext range check and the non-finite
+  /// sample check (InvalidArgument on a NaN or Inf) are hoisted to once
+  /// per block. Scores agree with the two-pass Pearson formulation to ~1e-13
   /// and are bit-identical across dispatch tiers; one add_block
   /// call per engine shard makes sharded campaigns bit-identical across
   /// thread counts and lane widths.
   void add_block(const std::uint8_t* pts, const double* samples,
                  std::size_t count);
+
+  /// add_block's contraction step over an already computed histogram:
+  /// add_block(pts, samples, count) is exactly histogram.compute(pts,
+  /// samples, count) followed by this call, so accumulators sharing one
+  /// histogram stay bit-identical to private ones. Throws InvalidArgument
+  /// on an out-of-range plaintext or a non-finite sample.
+  void add_histogram(const ScalarHistogram& histogram);
 
   /// Folds `other` — an accumulator over a disjoint trace subset with the
   /// same spec/model/bit configuration — into this one: flat-array
@@ -131,6 +143,10 @@ class StreamingDom {
   /// through the same rebasing step merge() uses. Counts are exact.
   void add_block(const std::uint8_t* pts, const double* samples,
                  std::size_t count);
+
+  /// add_block's contraction step over an already computed histogram
+  /// (see StreamingCpa::add_histogram).
+  void add_histogram(const ScalarHistogram& histogram);
 
   /// Folds `other` (disjoint traces, same spec/bit) into this one: counts
   /// add exactly; partition sums add after rebasing `other`'s onto this

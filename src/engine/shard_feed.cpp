@@ -16,7 +16,13 @@ ShardFeed::ShardFeed(const RoundSpec& round,
     const std::size_t index = distinguishers[d]->sbox_index();
     const auto it = std::find(slot_sbox_.begin(), slot_sbox_.end(), index);
     slot_of_[d] = static_cast<std::size_t>(it - slot_sbox_.begin());
-    if (it == slot_sbox_.end()) slot_sbox_.push_back(index);
+    if (it == slot_sbox_.end()) {
+      slot_sbox_.push_back(index);
+      slot_scalar_.push_back(false);
+    }
+    if (distinguishers[d]->data_kind() == TraceDataKind::kScalar) {
+      slot_scalar_[slot_of_[d]] = true;
+    }
   }
 }
 
@@ -27,17 +33,25 @@ bool ShardFeed::consumes(TraceDataKind kind) const {
 }
 
 void ShardFeed::feed(const ShardTraces& traces, ShardStates& states,
-                     std::vector<std::uint8_t>& scratch) const {
+                     Scratch& scratch) const {
+  const std::size_t slots = slot_sbox_.size();
   const std::uint8_t* sub_pts = traces.pts;
   if (!alias_) {
-    if (scratch.size() < traces.count * slot_sbox_.size()) {
-      scratch.resize(traces.count * slot_sbox_.size());
+    if (scratch.sub_pts.size() < traces.count * slots) {
+      scratch.sub_pts.resize(traces.count * slots);
     }
-    for (std::size_t slot = 0; slot < slot_sbox_.size(); ++slot) {
+    for (std::size_t slot = 0; slot < slots; ++slot) {
       round_.sub_words(traces.pts, traces.count, slot_sbox_[slot],
-                       scratch.data() + slot * traces.count);
+                       scratch.sub_pts.data() + slot * traces.count);
     }
-    sub_pts = scratch.data();
+    sub_pts = scratch.sub_pts.data();
+  }
+  scratch.histograms.resize(slots);
+  for (std::size_t slot = 0; slot < slots; ++slot) {
+    if (slot_scalar_[slot]) {
+      scratch.histograms[slot].compute(sub_pts + slot * traces.count,
+                                       traces.scalar, traces.count);
+    }
   }
   for (std::size_t d = 0; d < distinguishers_.size(); ++d) {
     const bool scalar =
@@ -48,6 +62,7 @@ void ShardFeed::feed(const ShardTraces& traces, ShardStates& states,
     block.data = scalar ? traces.scalar : traces.rows;
     block.width = scalar ? 1 : traces.levels;
     block.count = traces.count;
+    block.histogram = scalar ? &scratch.histograms[slot_of_[d]] : nullptr;
     auto& state = states[d][traces.shard];
     state = distinguishers_[d]->make_shard_accumulator();
     state->accumulate(block);

@@ -9,6 +9,7 @@
 #include <span>
 #include <vector>
 
+#include "dpa/block_stats.hpp"
 #include "dpa/distinguisher.hpp"
 
 namespace sable {
@@ -30,14 +31,23 @@ struct ShardTraces {
   std::size_t levels = 0;
 };
 
-/// Feeds shards to a distinguisher set. Sub-plaintext extraction is
-/// deduplicated per attacked instance: distinguishers attacking the same
-/// instance share one RoundSpec::sub_words pass per shard. A round of one
-/// byte-wide S-box skips the pass and hands the plaintexts through as the
-/// sub-plaintexts, so a byte outside the S-box input range reaches the
-/// accumulators, which reject it ("plaintext out of range").
+/// Feeds shards to a distinguisher set. The per-instance work is
+/// deduplicated: distinguishers attacking the same instance share one
+/// RoundSpec::sub_words pass per shard, and, when any of them consumes
+/// scalar data, one ScalarHistogram of (sub-plaintexts, samples) per
+/// shard, handed to each scalar block as ShardBlock::histogram. A round
+/// of one byte-wide S-box skips the extraction and hands the plaintexts
+/// through as the sub-plaintexts, so a byte outside the S-box input range
+/// reaches the accumulators, which reject it ("plaintext out of range").
 class ShardFeed {
  public:
+  /// A worker's reusable feed storage: every slot's sub-plaintexts and
+  /// scalar histogram for the shard being fed.
+  struct Scratch {
+    std::vector<std::uint8_t> sub_pts;
+    std::vector<ScalarHistogram> histograms;
+  };
+
   /// `round` and `distinguishers` must outlive the feed.
   ShardFeed(const RoundSpec& round,
             std::span<Distinguisher* const> distinguishers);
@@ -46,16 +56,16 @@ class ShardFeed {
   bool consumes(TraceDataKind kind) const;
 
   /// Creates states[d][traces.shard] for every distinguisher d and
-  /// accumulates the shard into it. `scratch` is the calling worker's
-  /// reusable sub-plaintext storage; distinct shards may be fed
-  /// concurrently.
+  /// accumulates the shard into it. `scratch` is the calling worker's;
+  /// distinct shards may be fed concurrently.
   void feed(const ShardTraces& traces, ShardStates& states,
-            std::vector<std::uint8_t>& scratch) const;
+            Scratch& scratch) const;
 
  private:
   const RoundSpec& round_;
   std::span<Distinguisher* const> distinguishers_;
   std::vector<std::size_t> slot_sbox_;  // extraction slot -> instance
+  std::vector<bool> slot_scalar_;       // slot has a scalar consumer
   std::vector<std::size_t> slot_of_;    // distinguisher -> slot
   bool alias_ = false;                  // pts double as sub-plaintexts
 };

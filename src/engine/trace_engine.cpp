@@ -234,13 +234,13 @@ struct alignas(64) ShardBuffers {
 };
 
 // An attack worker's context: its leased target, its shard buffers and
-// the shard feed's sub-plaintext scratch — so the shard loop never
-// allocates in steady state or shares mutable state.
+// the shard feed's scratch — so the shard loop never allocates in steady
+// state or shares mutable state.
 template <typename W>
 struct WorkerCtx {
   WorkerLease<W> lease;
   ShardBuffers buffers;
-  std::vector<std::uint8_t> sub_pts;
+  ShardFeed::Scratch feed_scratch;
 
   WorkerCtx(const RoundTargetT<W>& prototype, detail::LanePool<W>& pool)
       : lease(prototype, pool) {}
@@ -457,7 +457,7 @@ bool run_distinguishers_impl(const RoundTargetT<W>& prototype,
           traces.scalar = buffers.samples.data();
           traces.rows = buffers.rows.data();
           traces.levels = levels;
-          feed.feed(traces, states, ctx.sub_pts);
+          feed.feed(traces, states, ctx.feed_scratch);
         });
   };
 

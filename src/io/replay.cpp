@@ -86,7 +86,7 @@ struct FetchedShard {
 
 // A replay worker's reusable buffers.
 struct ReplayCtx {
-  std::vector<std::uint8_t> sub_pts;
+  ShardFeed::Scratch feed;
   CorpusDecodeScratch scratch;
 };
 
@@ -111,7 +111,7 @@ bool replay_impl(const CorpusManifest& cm,
         [&](ReplayCtx& ctx, std::size_t k) {
           const std::size_t s = work[k];
           const FetchedShard fetched = fetch(s, ctx.scratch);
-          feed.feed(corpus_traces(cm, s, fetched.view), states, ctx.sub_pts);
+          feed.feed(corpus_traces(cm, s, fetched.view), states, ctx.feed);
         });
   };
 
@@ -163,44 +163,12 @@ void replay_shared(SharedCorpus& corpus, const RoundSpec& round,
                    std::span<const std::span<Distinguisher* const>> sets,
                    std::size_t num_threads, WorkerPool* pool) {
   SABLE_REQUIRE(!sets.empty(), "replay_shared needs at least one attack set");
-  const CorpusManifest& cm = corpus.manifest();
-  const std::uint64_t hash = round_spec_hash(round);
-  const bool check_spec = !corpus.spec_validated(hash);
-  std::vector<ShardFeed> feeds;
-  feeds.reserve(sets.size());
-  for (std::size_t k = 0; k < sets.size(); ++k) {
-    feeds.push_back(validate_for_replay(cm, corpus.reader().path(), round,
-                                        sets[k], check_spec && k == 0));
-  }
-  if (check_spec) corpus.note_spec_validated(hash);
-
-  const std::size_t num_shards =
-      static_cast<std::size_t>(cm.campaign.num_shards);
-  std::vector<ShardStates> states;
-  states.reserve(sets.size());
+  std::vector<Distinguisher*> all;
   for (const auto& set : sets) {
-    states.push_back(empty_states(set.size(), num_shards));
+    SABLE_REQUIRE(!set.empty(), "replay needs at least one distinguisher");
+    all.insert(all.end(), set.begin(), set.end());
   }
-  WorkerPool local_pool;
-  WorkerPool& workers = pool ? *pool : local_pool;
-
-  // Workers claim whole sets; the shard loop inside streams every chunk
-  // through the shared cache, so concurrent sets decode each chunk once
-  // between them instead of once each.
-  parallel_for(
-      workers, num_threads, sets.size(),
-      [] { return std::vector<std::uint8_t>{}; },
-      [&](std::vector<std::uint8_t>& sub_pts, std::size_t k) {
-        for (std::size_t s = 0; s < num_shards; ++s) {
-          const SharedCorpus::Lease lease = corpus.acquire(s);
-          feeds[k].feed(corpus_traces(cm, s, lease.view()), states[k],
-                        sub_pts);
-        }
-      });
-  for (std::size_t k = 0; k < sets.size(); ++k) {
-    reduce_and_finalize_distinguishers(sets[k], states[k], workers,
-                                       num_threads);
-  }
+  replay_distinguishers(corpus, round, all, {}, num_threads, pool);
 }
 
 }  // namespace sable

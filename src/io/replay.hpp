@@ -47,12 +47,15 @@ bool replay_distinguishers(SharedCorpus& corpus, const RoundSpec& round,
                            std::size_t num_threads = 0,
                            WorkerPool* pool = nullptr);
 
-/// Runs several independent attack sets over the corpus in ONE pass:
-/// workers claim whole sets and stream every shard through the shared
-/// cache, so a chunk is fetched/decoded once however many sets consume
-/// it (the CLI's --all-subkeys corpus mode). Every set is validated,
-/// accumulated over the full shard range and finalized; no
-/// checkpoint/resume (the pass is one shot by construction).
+/// Runs several independent attack sets over the corpus in ONE pass (the
+/// CLI's --all-subkeys corpus mode): the sets are flattened into one
+/// distinguisher list and replayed shard-major through the shared cache,
+/// so each shard is fetched and decoded once, and every set's
+/// accumulators consume it while it is in cache — sub-plaintexts and
+/// the scalar histogram computed once per attacked instance. Every set
+/// is validated, accumulated over the full shard range and finalized,
+/// bit-identically to replaying it alone; no checkpoint/resume (the pass
+/// is one shot by construction).
 void replay_shared(SharedCorpus& corpus, const RoundSpec& round,
                    std::span<const std::span<Distinguisher* const>> sets,
                    std::size_t num_threads = 0, WorkerPool* pool = nullptr);

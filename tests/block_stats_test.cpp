@@ -16,7 +16,10 @@
 //     state is byte-identical to straight-through accumulation. This
 //     is exactly the checkpoint/resume and merge_partials shape.
 //
-// Plus the hoisted validation contract: an out-of-range plaintext
+// Plus the shared-histogram contract: an accumulator handed a
+// precomputed ScalarHistogram (the shard feed shares one per attacked
+// instance) saves exactly the state of one that ran the pass itself;
+// and the hoisted validation contract: an out-of-range plaintext
 // anywhere in a block throws InvalidArgument before any state mutates.
 #include <gtest/gtest.h>
 
@@ -28,6 +31,7 @@
 
 #include "crypto/sboxes.hpp"
 #include "dpa/block_stats.hpp"
+#include "dpa/distinguisher.hpp"
 #include "dpa/second_order.hpp"
 #include "dpa/streaming.hpp"
 #include "dpa_reference.hpp"
@@ -387,6 +391,70 @@ TEST(BlockStatsTest, RawKernelsBitIdenticalAcrossDispatchTiers) {
     expect_same_bits(got.m3_iij, ref.m3_iij);
     expect_same_bits(got.m3_ijj, ref.m3_ijj);
     expect_same_bits(got.m4, ref.m4);
+  }
+}
+
+// The shard feed computes one ScalarHistogram per attacked instance and
+// shard and hands it to every scalar accumulator of the instance. Fed the
+// same blocks, an accumulator given that histogram must save exactly the
+// bytes of one left to run the pass itself, on every dispatch tier. The
+// blocks are a count-1 block, a block whose first sample (the shift) is
+// not its minimum, and a plain one; the MTD ladder splits the second
+// block inside and ends it on a checkpoint, and leaves the other two
+// whole, so MTD takes both the shared and the private path.
+TEST(BlockStatsTest, SharedAndPrivateHistogramsSaveIdenticalState) {
+  const SboxSpec spec = present_spec();
+  const AttackSelector selector{.model = PowerModel::kHammingWeight,
+                                .bit = 1};
+  constexpr std::size_t kTraces = 401;
+  const std::vector<std::size_t> ladder = {151, 301};
+  struct Range {
+    std::size_t start, count;
+  };
+  const Range blocks[] = {{0, 1}, {1, 300}, {301, 100}};
+
+  Rng rng(0x4157);
+  std::vector<std::uint8_t> pts(kTraces);
+  std::vector<double> samples(kTraces);
+  for (std::size_t i = 0; i < kTraces; ++i) {
+    pts[i] = static_cast<std::uint8_t>(rng.below(16));
+    samples[i] = 1e-13 + 1e-15 * rng.gaussian();
+  }
+  samples[1] = 1e-13;
+  samples[2] = samples[1] - 5e-15;  // below the second block's shift
+  ASSERT_GT(samples[1], *std::min_element(samples.begin() + 1,
+                                          samples.begin() + 301));
+
+  CpaDistinguisher cpa(spec, selector);
+  DomDistinguisher dom(spec, selector);
+  MtdDistinguisher mtd(spec, selector, 0x7, ladder, kTraces);
+  const Distinguisher* const list[] = {&cpa, &dom, &mtd};
+  std::vector<std::vector<std::uint8_t>> reference(3);
+  for (const DispatchTier tier : testable_tiers()) {
+    SCOPED_TRACE("tier " + std::to_string(static_cast<int>(tier)));
+    ScopedDispatchTierCap cap(tier);
+    for (std::size_t d = 0; d < 3; ++d) {
+      const auto shared = list[d]->make_shard_accumulator();
+      const auto own = list[d]->make_shard_accumulator();
+      for (const Range& range : blocks) {
+        ScalarHistogram histogram;
+        histogram.compute(pts.data() + range.start,
+                          samples.data() + range.start, range.count);
+        ShardBlock block;
+        block.start = range.start;
+        block.sub_pts = pts.data() + range.start;
+        block.data = samples.data() + range.start;
+        block.count = range.count;
+        block.histogram = &histogram;
+        shared->accumulate(block);
+        block.histogram = nullptr;
+        own->accumulate(block);
+      }
+      const std::vector<std::uint8_t> bytes = saved_bytes(*shared);
+      EXPECT_EQ(bytes, saved_bytes(*own)) << "distinguisher " << d;
+      if (reference[d].empty()) reference[d] = bytes;
+      EXPECT_EQ(bytes, reference[d]) << "distinguisher " << d;
+    }
   }
 }
 

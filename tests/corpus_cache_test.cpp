@@ -6,7 +6,9 @@
 // bit-identical to plain CorpusReader replay; (3) raw corpora bypass
 // the cache entirely (zero decodes, zero copies); (4) a bounded cache
 // evicts and re-decodes instead of growing, and a corrupt chunk throws
-// a typed error out of acquire() without wedging later acquirers.
+// a typed error out of acquire() without wedging later acquirers; (5)
+// the one-pass multi-set replay_shared is bit-identical to replaying
+// each set alone.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,6 +16,7 @@
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <span>
 #include <string>
 #include <thread>
@@ -27,6 +30,7 @@
 #include "io/corpus.hpp"
 #include "io/corpus_cache.hpp"
 #include "io/replay.hpp"
+#include "io/serial.hpp"
 #include "util/error.hpp"
 
 namespace sable {
@@ -263,6 +267,140 @@ TEST_F(SharedCorpusTest, CorruptChunkThrowsTypedAndDoesNotWedge) {
   const SharedCorpus::Lease ok = corpus.acquire(1);
   EXPECT_EQ(ok.view().count, corpus.reader().shard_count(1));
   EXPECT_THROW(corpus.acquire(corpus.num_shards()), ShardIndexError);
+}
+
+// Pass-through accumulator that drops the shard feed's shared histogram,
+// so every histogram pass of the wrapped accumulator runs privately.
+class PrivateHistogramAccumulator final : public ShardAccumulator {
+ public:
+  explicit PrivateHistogramAccumulator(std::unique_ptr<ShardAccumulator> inner)
+      : inner_(std::move(inner)) {}
+
+  void accumulate(const ShardBlock& block) override {
+    ShardBlock own = block;
+    own.histogram = nullptr;
+    inner_->accumulate(own);
+  }
+  void merge(ShardAccumulator& other) override {
+    inner_->merge(*static_cast<PrivateHistogramAccumulator&>(other).inner_);
+  }
+  void save(ByteWriter& writer) const override { inner_->save(writer); }
+  void load(ByteReader& reader) override { inner_->load(reader); }
+
+  ShardAccumulator& inner() { return *inner_; }
+
+ private:
+  std::unique_ptr<ShardAccumulator> inner_;
+};
+
+// `inner` with private histograms: the reference side of the replay_shared
+// comparison, so a fault in histogram sharing cannot cancel out of it.
+class PrivateHistogram final : public Distinguisher {
+ public:
+  explicit PrivateHistogram(Distinguisher& inner) : inner_(inner) {}
+
+  TraceDataKind data_kind() const override { return inner_.data_kind(); }
+  std::size_t sbox_index() const override { return inner_.sbox_index(); }
+  bool ordered() const override { return inner_.ordered(); }
+  void validate(const RoundSpec& round) const override {
+    inner_.validate(round);
+  }
+  std::unique_ptr<ShardAccumulator> make_shard_accumulator() const override {
+    return std::make_unique<PrivateHistogramAccumulator>(
+        inner_.make_shard_accumulator());
+  }
+  void finalize(ShardAccumulator& root) override {
+    inner_.finalize(static_cast<PrivateHistogramAccumulator&>(root).inner());
+  }
+
+ private:
+  Distinguisher& inner_;
+};
+
+// One CPA+DoM+MTD set per instance of a 16-S-box round, the --all-subkeys
+// shape.
+struct SubkeySet {
+  SubkeySet(const RoundSpec& round, std::size_t j, std::size_t key,
+            const std::vector<std::size_t>& ladder, std::size_t num_traces)
+      : cpa(round.sboxes[j],
+            AttackSelector{.sbox_index = j,
+                           .model = PowerModel::kHammingWeight}),
+        dom(round.sboxes[j], AttackSelector{.sbox_index = j, .bit = 1}),
+        mtd(round.sboxes[j],
+            AttackSelector{.sbox_index = j,
+                           .model = PowerModel::kHammingWeight},
+            key, ladder, num_traces),
+        list{&cpa, &dom, &mtd} {}
+
+  CpaDistinguisher cpa;
+  DomDistinguisher dom;
+  MtdDistinguisher mtd;
+  std::vector<Distinguisher*> list;
+};
+
+// replay_shared flattens the sets into one shard-major pass: each shard
+// is fetched once, its sub-plaintexts extracted and its scalar histogram
+// computed once per instance, and all 48 accumulators share them. Every
+// result must equal per-set replay over a plain reader, with private
+// histograms, bit for bit, at any thread count. The MTD ladder splits
+// shards 0, 2 and 4 inside, ends shards 0, 2 and the ragged shard 6 on a
+// checkpoint, and leaves shards 1, 3 and 5 without one, so both the
+// shared-histogram and the split sub-block paths run.
+TEST(ReplaySharedTest, ShardMajorPassMatchesPerSetReplay) {
+  const RoundSpec round = present_round(16, LogicStyle::kStaticCmos);
+  CampaignOptions options = small_options();  // 7 shards, ragged tail
+  std::vector<std::size_t> subkeys(round.num_sboxes());
+  for (std::size_t j = 0; j < subkeys.size(); ++j) {
+    subkeys[j] = (3 + 7 * j) & 0xF;
+  }
+  options.key = round.pack_subkeys(subkeys);
+  TraceEngine engine(round, kTech);
+  const std::string path = temp_path("round16.corpus");
+  engine.record(options, TraceDataKind::kScalar, path);
+  const std::vector<std::size_t> ladder = {100, 448, 1000, 1344, 2000, 3000};
+
+  const auto make_sets = [&] {
+    std::vector<std::unique_ptr<SubkeySet>> sets;
+    for (std::size_t j = 0; j < round.num_sboxes(); ++j) {
+      sets.push_back(std::make_unique<SubkeySet>(round, j, subkeys[j], ladder,
+                                                 options.num_traces));
+    }
+    return sets;
+  };
+
+  const CorpusReader plain(path);
+  const auto reference = make_sets();
+  for (const auto& set : reference) {
+    std::vector<PrivateHistogram> wrapped;
+    for (Distinguisher* d : set->list) wrapped.emplace_back(*d);
+    std::vector<Distinguisher*> list;
+    for (PrivateHistogram& w : wrapped) list.push_back(&w);
+    ASSERT_TRUE(replay_distinguishers(plain, round, list));
+  }
+
+  for (const std::size_t threads : {1, 2, 4}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    SharedCorpus corpus(path);
+    ASSERT_EQ(corpus.num_shards(), 7u);
+    const auto sets = make_sets();
+    std::vector<std::span<Distinguisher* const>> spans;
+    for (const auto& set : sets) spans.emplace_back(set->list);
+    replay_shared(corpus, round, spans, threads);
+    EXPECT_EQ(corpus.decode_count(), corpus.num_shards());
+    for (std::size_t j = 0; j < sets.size(); ++j) {
+      SCOPED_TRACE("sbox " + std::to_string(j));
+      expect_same_scores(sets[j]->cpa.result().score,
+                         reference[j]->cpa.result().score);
+      expect_same_scores(sets[j]->dom.result().score,
+                         reference[j]->dom.result().score);
+      const MtdResult& mtd = sets[j]->mtd.result();
+      const MtdResult& want = reference[j]->mtd.result();
+      EXPECT_EQ(mtd.rank_history, want.rank_history);
+      EXPECT_EQ(mtd.disclosed, want.disclosed);
+      EXPECT_EQ(mtd.mtd, want.mtd);
+      ASSERT_EQ(mtd.rank_history.size(), ladder.size());
+    }
+  }
 }
 
 }  // namespace

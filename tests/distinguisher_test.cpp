@@ -13,11 +13,16 @@
 //    campaigns bit for bit;
 //  * mixing data kinds in one run_distinguishers call changes nothing;
 //  * the shard feed rejects a single-byte round's out-of-range plaintext;
+//  * a NaN or +Inf sample is rejected with InvalidArgument by every
+//    distinguisher, live (through the shard feed) and replayed;
 //  * campaign_shard_size clamps small block sizes to one 64-lane word.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <limits>
+#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
@@ -28,6 +33,8 @@
 #include "dpa_reference.hpp"
 #include "engine/shard_feed.hpp"
 #include "engine/trace_engine.hpp"
+#include "io/corpus.hpp"
+#include "io/replay.hpp"
 #include "util/cpu_dispatch.hpp"
 #include "util/rng.hpp"
 
@@ -386,7 +393,7 @@ TEST(ShardFeedTest, SingleByteRoundRejectsOutOfRangePlaintext) {
   traces.count = pts.size();
   traces.pts = pts.data();
   traces.scalar = samples.data();
-  std::vector<std::uint8_t> scratch;
+  ShardFeed::Scratch scratch;
   try {
     feed.feed(traces, states, scratch);
     ADD_FAILURE() << "out-of-range plaintext 0x1F was accepted";
@@ -399,6 +406,132 @@ TEST(ShardFeedTest, SingleByteRoundRejectsOutOfRangePlaintext) {
   EXPECT_NO_THROW(feed.feed(traces, states, scratch));
   EXPECT_NE(states[0][0], nullptr);
 }
+
+// ---- non-finite samples -----------------------------------------------------
+
+// A NaN or ±Inf sample makes the histogram pass's sum of squares
+// non-finite, and every accumulator checks that sum once per block.
+// The parameter goes into one trace (one row element for sampled data)
+// of a shard; every distinguisher must reject the shard with
+// InvalidArgument, live through the shard feed and replayed from a
+// corpus holding it.
+class NonFiniteSampleTest : public ::testing::TestWithParam<double> {
+ protected:
+  static constexpr std::size_t kBadTrace = 37;
+
+  NonFiniteSampleTest()
+      : round_(present_round(1, LogicStyle::kStaticCmos)),
+        engine_(round_, kTech),
+        levels_(engine_.target().num_levels()) {}
+
+  // One fresh instance of each distinguisher kind, on sbox 0, in kNames
+  // order.
+  static constexpr const char* kNames[] = {"CPA", "DoM", "MTD", "MultiCpa",
+                                           "second-order CPA"};
+  std::vector<std::unique_ptr<Distinguisher>> distinguishers() const {
+    const SboxSpec& spec = round_.sboxes[0];
+    const AttackSelector sel{.model = PowerModel::kHammingWeight};
+    std::vector<std::unique_ptr<Distinguisher>> all;
+    all.push_back(std::make_unique<CpaDistinguisher>(spec, sel));
+    all.push_back(std::make_unique<DomDistinguisher>(spec, sel));
+    all.push_back(std::make_unique<MtdDistinguisher>(
+        spec, sel, 0x9, std::vector<std::size_t>{100, 1000}, 1500));
+    all.push_back(std::make_unique<MultiCpaDistinguisher>(spec, sel, levels_));
+    all.push_back(std::make_unique<SecondOrderCpaDistinguisher>(spec, sel));
+    return all;
+  }
+
+  static void expect_rejected(const std::function<void()>& run,
+                              const std::string& what) {
+    try {
+      run();
+      ADD_FAILURE() << what << " accepted a non-finite sample";
+    } catch (const InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find("finite"), std::string::npos)
+          << what << ": " << e.what();
+    }
+  }
+
+  RoundSpec round_;
+  TraceEngine engine_;
+  std::size_t levels_;
+};
+
+TEST_P(NonFiniteSampleTest, RejectedLive) {
+  constexpr std::size_t kCount = 200;
+  Rng rng(0xBAD);
+  std::vector<std::uint8_t> pts(kCount);
+  std::vector<double> scalar(kCount);
+  std::vector<double> rows(kCount * levels_);
+  for (std::size_t i = 0; i < kCount; ++i) {
+    pts[i] = static_cast<std::uint8_t>(rng.below(16));
+    scalar[i] = 1e-13 + 1e-15 * rng.gaussian();
+    for (std::size_t l = 0; l < levels_; ++l) {
+      rows[i * levels_ + l] = 1e-14 + 1e-16 * rng.gaussian();
+    }
+  }
+  scalar[kBadTrace] = GetParam();
+  rows[kBadTrace * levels_ + levels_ / 2] = GetParam();
+  ShardTraces traces;
+  traces.count = kCount;
+  traces.pts = pts.data();
+  traces.scalar = scalar.data();
+  traces.rows = rows.data();
+  traces.levels = levels_;
+  const auto all = distinguishers();
+  for (std::size_t d = 0; d < all.size(); ++d) {
+    Distinguisher* const list[] = {all[d].get()};
+    const ShardFeed feed(round_, list);
+    ShardStates states(1);
+    states[0].resize(1);
+    ShardFeed::Scratch scratch;
+    expect_rejected([&] { feed.feed(traces, states, scratch); }, kNames[d]);
+  }
+}
+
+TEST_P(NonFiniteSampleTest, RejectedReplayed) {
+  CampaignOptions options;
+  options.num_traces = 1500;  // shards of 448; the bad trace is in shard 1
+  options.key = {0x9};
+  options.noise_sigma = 2e-16;
+  options.seed = 0xBAD;
+  options.shard_size = 448;
+  for (const TraceDataKind kind :
+       {TraceDataKind::kScalar, TraceDataKind::kSampled}) {
+    const std::string clean =
+        testing::TempDir() + "nonfinite_clean.corpus";
+    const std::string bad = testing::TempDir() + "nonfinite_bad.corpus";
+    engine_.record(options, kind, clean);
+    {
+      const CorpusReader reader(clean);
+      CorpusWriter writer(bad, reader.manifest());
+      CorpusDecodeScratch scratch;
+      for (std::size_t s = 0; s < reader.num_shards(); ++s) {
+        const CorpusShardView view = reader.read_shard(s, scratch);
+        const std::size_t width = reader.manifest().sample_width;
+        std::vector<double> samples(view.samples,
+                                    view.samples + view.count * width);
+        if (s == 1) samples[kBadTrace * width] = GetParam();
+        writer.append_shard(view.pts, samples.data(), view.count);
+      }
+      writer.finish();
+    }
+    const CorpusReader reader(bad);
+    const auto all = distinguishers();
+    for (std::size_t d = 0; d < all.size(); ++d) {
+      if (all[d]->data_kind() != kind) continue;
+      Distinguisher* const list[] = {all[d].get()};
+      expect_rejected(
+          [&] { replay_distinguishers(reader, round_, list, {}, 2); },
+          kNames[d]);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    NanAndInf, NonFiniteSampleTest,
+    ::testing::Values(std::numeric_limits<double>::quiet_NaN(),
+                      std::numeric_limits<double>::infinity()));
 
 TEST(DistinguisherPipelineTest, ValidatesSpecAgainstRound) {
   const RoundSpec round = present_round(1, LogicStyle::kStaticCmos);
