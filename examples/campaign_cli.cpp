@@ -36,6 +36,7 @@
 #include <memory>
 
 #include "engine/trace_engine.hpp"
+#include "engine/worker_pool.hpp"
 #include "io/campaign_state.hpp"
 #include "io/corpus.hpp"
 #include "io/corpus_cache.hpp"
@@ -393,8 +394,11 @@ int main(int argc, char** argv) {
       }
       // One CPA+DoM+MTD set per round instance, all driven in a single
       // pass over one shared mapping — each chunk is decoded once
-      // however many sets consume it.
-      SharedCorpus corpus(cli.corpus_path);
+      // however many sets consume it. The pass is shard-major and every
+      // worker holds one shard at a time, so the decoded-shard cache
+      // needs one slot per worker, not one per shard.
+      SharedCorpus corpus(cli.corpus_path,
+                          resolve_thread_count(cli.num_threads));
       std::vector<std::unique_ptr<AttackSet>> sets;
       std::vector<std::size_t> subkeys;
       std::vector<std::span<Distinguisher* const>> spans;

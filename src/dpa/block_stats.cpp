@@ -5,6 +5,7 @@
 // TU stays base-architecture clean.
 #include "dpa/block_stats.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "dpa/block_stats_impl.hpp"
@@ -38,10 +39,6 @@ BlockScratch& block_scratch() {
 
 BlockScratch& block_scratch(std::size_t width, std::size_t num_guesses) {
   BlockScratch& scratch = block_scratch();
-  scratch.counts.resize(kBlockPts);
-  scratch.sums.resize(kBlockPts * width);
-  scratch.shifts.resize(width);
-  scratch.sum_sq.resize(width);
   scratch.sum_h.resize(num_guesses);
   scratch.sum_h2.resize(num_guesses);
   scratch.cnt0.resize(num_guesses);
@@ -79,6 +76,21 @@ void ScalarHistogram::compute(const std::uint8_t* pts, const double* samples,
   block_stat_kernels(active_tier())
       .histogram_scalar(pts, samples, n, shift, counts.data(), sums.data(),
                         &sum_sq);
+}
+
+void SampledHistogram::compute(const std::uint8_t* pts, const double* rows,
+                               std::size_t n, std::size_t levels) {
+  count = n;
+  width = levels;
+  if (n == 0) return;
+  shifts.assign(rows, rows + levels);
+  sums.resize(detail::kBlockPts * levels);
+  sum_sq.resize(levels);
+  std::vector<double>& work = detail::block_scratch().work;
+  work.resize(std::max(work.size(), detail::sampled_work_size(levels)));
+  block_stat_kernels(active_tier())
+      .histogram_sampled(pts, rows, n, levels, shifts.data(), counts.data(),
+                         sums.data(), sum_sq.data(), work.data());
 }
 
 const BlockStatKernels& block_stat_kernels(DispatchTier tier) {

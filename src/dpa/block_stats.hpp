@@ -30,7 +30,9 @@
 // element's addition chain is identical no matter how wide the vector
 // unit is — and uses plain mul+add (never FMA; the build pins
 // -ffp-contract=off), so all dispatch tiers produce bit-identical
-// results. Block boundaries are the engine's fixed shard layout, making
+// results. The sampled passes vectorize across levels and level pairs
+// in eight-lane blocks whose per-lane arithmetic is the same at every
+// tier; each output still gets one sequential chain in trace order. Block boundaries are the engine's fixed shard layout, making
 // the block-factored scores bit-identical across num_threads ×
 // lane_width × dispatch tiers.
 //
@@ -71,35 +73,99 @@ void block_histogram_scalar(const std::uint8_t* pts, const double* samples,
                             std::uint64_t* counts, double* sums,
                             double* sum_sq);
 
+// The sampled passes work on blocks of kLevelBlock consecutive levels,
+// one 8-lane vector each (two AVX2 or four SSE2 registers; the lane
+// arithmetic is the same at every tier). A row of `width` levels spans
+// level_blocks(width) blocks; lanes past `width` in the last block are
+// padding that no output ever reads.
+inline constexpr std::size_t kLevelBlock = 8;
+
+constexpr std::size_t level_blocks(std::size_t width) {
+  return (width + kLevelBlock - 1) / kLevelBlock;
+}
+
+/// Valid levels of level block b at `width`.
+constexpr std::size_t block_levels(std::size_t width, std::size_t b) {
+  return width - b * kLevelBlock < kLevelBlock ? width - b * kLevelBlock
+                                               : kLevelBlock;
+}
+
+/// Traces a sampled pass processes per tile: the pair pass centres a
+/// tile into its work space, then runs every pair chunk over it with the
+/// chunk's accumulators held in registers.
+inline constexpr std::size_t kTileTraces = 64;
+
+/// The pair pass enumerates the L(L−1)/2 level pairs in chunks of
+/// kLevelBlock, grouped by (block of i, block of j): a diagonal group
+/// (both levels in block b, r valid levels) takes ceil(r(r−1)/2 / 8)
+/// chunks, a cross group (block bi < bj) one chunk per valid level of bj.
+constexpr std::size_t pair_chunks(std::size_t width) {
+  std::size_t chunks = 0;
+  for (std::size_t b = 0; b < level_blocks(width); ++b) {
+    const std::size_t r = block_levels(width, b);
+    chunks += (r * (r - 1) / 2 + kLevelBlock - 1) / kLevelBlock;
+    chunks += width - b * kLevelBlock - r;  // one per later level
+  }
+  return chunks;
+}
+
+/// Doubles of work space block_histogram_sampled needs at `width`.
+constexpr std::size_t sampled_work_size(std::size_t width) {
+  return kLevelBlock + (kBlockPts + 1) * level_blocks(width) * kLevelBlock;
+}
+
+/// Doubles of work space block_histogram_pairs needs at `width`.
+constexpr std::size_t pairs_work_size(std::size_t width) {
+  const std::size_t stride = level_blocks(width) * kLevelBlock;
+  const std::size_t pair_lanes = pair_chunks(width) * kLevelBlock;
+  return kLevelBlock + kTileTraces * stride + kBlockPts * (stride + pair_lanes) +
+         3 * stride + 3 * pair_lanes;
+}
+
+/// The 64-byte aligned start of a sampled kernel's work space (the
+/// *_work_size functions reserve kLevelBlock doubles of slack for it).
+inline double* align_work(double* work) {
+  const std::uintptr_t at = reinterpret_cast<std::uintptr_t>(work);
+  return work + (64 - at % 64) % 64 / sizeof(double);
+}
+
 /// Sampled-row histogram pass: counts as above; sums is [pt*width + l]
 /// accumulating (row[l] - shifts[l]); sum_sq[l] gets the per-column
-/// Σ (row[l] - shifts[l])². Column accumulators are independent, so the
-/// inner level loop vectorizes without reordering any addition chain.
+/// Σ (row[l] - shifts[l])². Every output is zeroed first and every
+/// chain runs sequentially in trace order. Each level block's Σ d²
+/// stays in a register across the block's traces, and the per-slot sums
+/// accumulate in `work` (sampled_work_size(width) doubles) at a padded
+/// stride before they are packed into `sums`. Rows are read only within
+/// the caller's count·width doubles.
 template <int kTier>
 void block_histogram_sampled(const std::uint8_t* pts, const double* rows,
                              std::size_t count, std::size_t width,
                              const double* shifts, std::uint64_t* counts,
-                             double* sums, double* sum_sq);
+                             double* sums, double* sum_sq, double* work);
 
 /// Second-order pair pass (StreamingSecondOrderCpa): centres every
 /// sample as dx_l = (row[l] - shifts[l]) - centre[l] — shift first, so a
 /// constant column centres to an exact 0.0 — and bins per plaintext, in
-/// bins[p*(width+num_pairs) + k], Σ dx_l (k = l < width) and Σ dx_i·dx_j
-/// (k = width + q for pair q = (pair_first[q], pair_second[q])). Also
-/// accumulates the guess-free sums sum_sq[l] = Σ dx_l², m3_iij[q] =
-/// Σ dx_i·(dx_i dx_j), m3_ijj[q] = Σ (dx_i dx_j)·dx_j and m4[q] =
-/// Σ (dx_i dx_j)². Every output is zeroed first and every chain runs
-/// sequentially in trace order; the loops vectorize across the level and
-/// pair axes only. `dx` is caller scratch of `width` doubles.
+/// bins[p*(width+Q) + k], Σ dx_l (k = l < width) and Σ dx_i·dx_j
+/// (k = width + q, q the lexicographic index of the pair i < j among the
+/// Q = width(width−1)/2 pairs). Also accumulates the guess-free sums
+/// sum_sq[l] = Σ dx_l², m3_iij[q] = Σ dx_i·(dx_i dx_j), m3_ijj[q] =
+/// Σ (dx_i dx_j)·dx_j and m4[q] = Σ (dx_i dx_j)². Every output is zeroed
+/// first and every chain runs sequentially in trace order.
+///
+/// Tile by tile, the pass centres kTileTraces rows into `work`
+/// (pairs_work_size(width) doubles) at a stride padded to whole level
+/// blocks, then runs the pair chunks (see pair_chunks) over the tile:
+/// a chunk's operands are in-register permutes of the centred level
+/// blocks, and its m3/m4 accumulators stay in registers across the tile.
+/// The chunk-ordered results are put back in lexicographic pair order at
+/// the end. Rows are read only within the caller's count·width doubles.
 template <int kTier>
 void block_histogram_pairs(const std::uint8_t* pts, const double* rows,
                            std::size_t count, std::size_t width,
                            const double* shifts, const double* centre,
-                           const std::uint32_t* pair_first,
-                           const std::uint32_t* pair_second,
-                           std::size_t num_pairs, double* dx, double* bins,
-                           double* sum_sq, double* m3_iij, double* m3_ijj,
-                           double* m4);
+                           double* bins, double* sum_sq, double* m3_iij,
+                           double* m3_ijj, double* m4, double* work);
 
 /// Count contraction: sum_h[g] = Σ_p counts[p]·pred[p*G+g] and
 /// sum_h2[g] = Σ_p counts[p]·pred[p*G+g]², zeroing the outputs first.
@@ -139,11 +205,10 @@ void block_contract_dom(const std::uint8_t* pred_bit,
       std::uint64_t*, double*, double*);                                      \
   extern template void block_histogram_sampled<TIER>(                         \
       const std::uint8_t*, const double*, std::size_t, std::size_t,           \
-      const double*, std::uint64_t*, double*, double*);                       \
+      const double*, std::uint64_t*, double*, double*, double*);              \
   extern template void block_histogram_pairs<TIER>(                           \
       const std::uint8_t*, const double*, std::size_t, std::size_t,           \
-      const double*, const double*, const std::uint32_t*,                     \
-      const std::uint32_t*, std::size_t, double*, double*, double*, double*,  \
+      const double*, const double*, double*, double*, double*, double*,       \
       double*, double*);                                                      \
   extern template void block_contract_counts<TIER>(                           \
       const double*, const std::uint64_t*, std::size_t, std::size_t,          \
@@ -172,12 +237,10 @@ struct BlockStatKernels {
                            double, std::uint64_t*, double*, double*);
   void (*histogram_sampled)(const std::uint8_t*, const double*, std::size_t,
                             std::size_t, const double*, std::uint64_t*,
-                            double*, double*);
+                            double*, double*, double*);
   void (*histogram_pairs)(const std::uint8_t*, const double*, std::size_t,
-                          std::size_t, const double*, const double*,
-                          const std::uint32_t*, const std::uint32_t*,
-                          std::size_t, double*, double*, double*, double*,
-                          double*, double*);
+                          std::size_t, const double*, const double*, double*,
+                          double*, double*, double*, double*, double*);
   void (*contract_counts)(const double*, const std::uint64_t*, std::size_t,
                           std::size_t, double*, double*);
   void (*contract_sums)(const double*, const double*, const std::uint64_t*,
@@ -211,6 +274,30 @@ struct ScalarHistogram {
                std::size_t count);
 };
 
+/// One block's time-resolved histogram, the first stage of both sampled
+/// accumulators (MultiCpa, and second-order CPA's pass 1): over the
+/// block's `count` rows of `width` levels, the per-slot trace counts and
+/// per-slot per-level Σ (x_l − shift_l) for all kBlockPts sub-plaintext
+/// slots, plus the per-level Σ (x_l − shift_l)², with shift = the
+/// block's first row. Like ScalarHistogram it is a function of
+/// (sub-plaintexts, rows) alone, so the shard feed computes one per
+/// attacked instance and shard and every sampled accumulator of that
+/// instance contracts it.
+struct SampledHistogram {
+  std::size_t count = 0;
+  std::size_t width = 0;
+  std::array<std::uint64_t, detail::kBlockPts> counts{};
+  std::vector<double> shifts;  // [width]
+  std::vector<double> sums;    // [kBlockPts * width]
+  std::vector<double> sum_sq;  // [width]
+
+  /// Runs the active tier's histogram_sampled pass over the block (every
+  /// tier's result is bit-identical), in the calling thread's block
+  /// scratch. An empty block leaves count 0.
+  void compute(const std::uint8_t* pts, const double* rows,
+               std::size_t count, std::size_t width);
+};
+
 namespace detail {
 
 /// The hoisted form of the per-trace range check: the histogram pass
@@ -233,10 +320,8 @@ void require_finite_block(const double* sum_sq, std::size_t width);
 /// every block it accumulates, so the steady state never allocates.
 struct BlockScratch {
   ScalarHistogram scalar;             // a block's private scalar histogram
-  std::vector<std::uint64_t> counts;  // [kBlockPts]
-  std::vector<double> sums;           // [kBlockPts * width]
-  std::vector<double> shifts;         // [width]
-  std::vector<double> sum_sq;         // [width]
+  SampledHistogram sampled;           // a block's private sampled one
+  std::vector<double> work;           // the sampled kernels' work space
   std::vector<double> sum_h;          // [num_guesses]  (DoM: sum0)
   std::vector<double> sum_h2;         // [num_guesses]  (DoM: sum1)
   std::vector<std::uint64_t> cnt0;    // [num_guesses]  (DoM partitions)
@@ -246,10 +331,8 @@ struct BlockScratch {
   std::vector<double> col_mean;       // [width]
   std::vector<double> col_m2;         // [width]
   // The second-order pair pass sizes these itself (dpa/second_order.cpp).
-  std::vector<std::uint32_t> pair_first;   // [pairs]
-  std::vector<std::uint32_t> pair_second;  // [pairs]
   std::vector<double> centre;              // [levels]
-  std::vector<double> dx;                  // [levels]
+  std::vector<double> sum_sq;              // [levels]  Σ dx²
   std::vector<double> bins;                // [kBlockPts * (levels + pairs)]
   std::vector<double> pred_centred;        // [num_plaintexts * num_guesses]
   std::vector<double> c2;                  // [levels * levels]

@@ -64,6 +64,15 @@ void add_scalar(Acc& acc, const ShardBlock& block, std::size_t from,
   }
 }
 
+// A sampled block's shared histogram, or null when it has none.
+const SampledHistogram* shared_sampled(const ShardBlock& block) {
+  const SampledHistogram* histogram = block.sampled_histogram;
+  SABLE_ASSERT(histogram == nullptr || (histogram->count == block.count &&
+                                        histogram->width == block.width),
+               "a block's shared histogram must cover the whole block");
+  return histogram;
+}
+
 class CpaShardAccumulator final : public ShardAccumulator {
  public:
   explicit CpaShardAccumulator(StreamingCpa acc) : acc_(std::move(acc)) {}
@@ -116,7 +125,11 @@ class MultiCpaShardAccumulator final : public ShardAccumulator {
     SABLE_REQUIRE(block.width == acc_.width(),
                   "multisample CPA row width must equal the target's level "
                   "count");
-    acc_.add_block(block.sub_pts, block.data, block.count);
+    if (const SampledHistogram* histogram = shared_sampled(block)) {
+      acc_.add_histogram(*histogram);
+    } else {
+      acc_.add_block(block.sub_pts, block.data, block.count);
+    }
   }
   void merge(ShardAccumulator& other) override {
     acc_.merge(cast_peer<MultiCpaShardAccumulator>(other).acc_);
@@ -136,7 +149,11 @@ class SecondOrderShardAccumulator final : public ShardAccumulator {
       : acc_(std::move(acc)) {}
 
   void accumulate(const ShardBlock& block) override {
-    acc_.add_block(block.sub_pts, block.data, block.count, block.width);
+    if (const SampledHistogram* histogram = shared_sampled(block)) {
+      acc_.add_histogram(*histogram, block.sub_pts, block.data);
+    } else {
+      acc_.add_block(block.sub_pts, block.data, block.count, block.width);
+    }
   }
   void merge(ShardAccumulator& other) override {
     acc_.merge(cast_peer<SecondOrderShardAccumulator>(other).acc_);

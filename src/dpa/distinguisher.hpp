@@ -28,9 +28,10 @@
 // Running several distinguishers in one call shares the simulation: a
 // 16-subkey attack on a 16-S-box round costs one campaign, not sixteen.
 // The per-instance work is shared too: per shard, each attacked
-// instance's sub-plaintexts are extracted once, and its scalar histogram
-// (dpa/block_stats.hpp) is computed once and handed to every scalar
-// accumulator of that instance through ShardBlock::histogram. Mixing
+// instance's sub-plaintexts are extracted once, and its scalar and
+// sampled histograms (dpa/block_stats.hpp) are computed once each and
+// handed to every accumulator of that instance consuming that kind,
+// through ShardBlock::histogram and ShardBlock::sampled_histogram. Mixing
 // scalar and time-resolved distinguishers is allowed; each shard is then
 // simulated once per data kind with identical per-kind streams, keeping
 // both bit-identical to their single-kind campaigns.
@@ -55,7 +56,8 @@ enum class TraceDataKind {
   kSampled,  // num_levels() per-logic-level samples (trace_batch_sampled)
 };
 
-struct ScalarHistogram;  // dpa/block_stats.hpp
+struct ScalarHistogram;   // dpa/block_stats.hpp
+struct SampledHistogram;  // dpa/block_stats.hpp
 
 /// One shard's worth of traces, as handed to ShardAccumulator::accumulate:
 /// `sub_pts` are the attacked instance's sub-plaintexts, `data` holds
@@ -67,6 +69,9 @@ struct ScalarHistogram;  // dpa/block_stats.hpp
 /// attacked instance for scalar blocks — and accumulators that contract
 /// it use it instead of running the pass themselves; left null, they
 /// compute it. Either way the result is bit-identical.
+/// `sampled_histogram` is the same for sampled blocks: the
+/// SampledHistogram of exactly (sub_pts, data, count, width), contracted
+/// by MultiCpa and by second-order CPA's first pass.
 struct ShardBlock {
   std::size_t start = 0;
   const std::uint8_t* sub_pts = nullptr;
@@ -74,6 +79,7 @@ struct ShardBlock {
   std::size_t count = 0;
   std::size_t width = 1;
   const ScalarHistogram* histogram = nullptr;
+  const SampledHistogram* sampled_histogram = nullptr;
 };
 
 class ByteReader;

@@ -68,9 +68,10 @@ StreamingSecondOrderCpa::SumsView StreamingSecondOrderCpa::view(
 }
 
 StreamingSecondOrderCpa::SumsView StreamingSecondOrderCpa::block_sums(
-    const std::uint8_t* pts, const double* rows, std::size_t count,
-    std::size_t width) const {
-  const std::size_t L = width;
+    const SampledHistogram& histogram, const std::uint8_t* pts,
+    const double* rows) const {
+  const std::size_t count = histogram.count;
+  const std::size_t L = histogram.width;
   const std::size_t Q = pair_count(L);
   const std::size_t W = L + Q;  // bin row: L level sums, then Q pair sums
   const std::size_t G = num_guesses_;
@@ -78,31 +79,28 @@ StreamingSecondOrderCpa::SumsView StreamingSecondOrderCpa::block_sums(
   const BlockStatKernels& kernels = block_stat_kernels(active_tier());
   detail::BlockScratch& s = detail::block_scratch(L, G);
   s.r.resize(W * G);
-  s.pair_first.resize(Q);
-  s.pair_second.resize(Q);
   s.centre.resize(L);
-  s.dx.resize(L);
+  s.sum_sq.resize(L);
   s.bins.resize(detail::kBlockPts * W);
   s.pred_centred.resize(P * G);
   s.c2.resize(L * L);
   s.m3_iij.resize(Q);
   s.m3_ijj.resize(Q);
   s.m4.resize(Q);
+  if (s.work.size() < detail::pairs_work_size(L)) {
+    s.work.resize(detail::pairs_work_size(L));
+  }
 
-  // Pass 1: plaintext counts (validated before anything else happens)
-  // and the block means, shifted by the block's first row.
-  std::copy_n(rows, L, s.shifts.begin());
-  kernels.histogram_sampled(pts, rows, count, L, s.shifts.data(),
-                            s.counts.data(), s.sums.data(),
-                            s.sum_sq.data());
-  detail::require_block_pts(s.counts.data(), P);
-  detail::require_finite_block(s.sum_sq.data(), L);
+  // Pass 1 (the histogram): plaintext counts, validated before anything
+  // else happens, and the block means, shifted by the block's first row.
+  detail::require_block_pts(histogram.counts.data(), P);
+  detail::require_finite_block(histogram.sum_sq.data(), L);
   const double n = static_cast<double>(count);
   for (std::size_t l = 0; l < L; ++l) {
     double t_sum = 0.0;
-    for (std::size_t p = 0; p < P; ++p) t_sum += s.sums[p * L + l];
+    for (std::size_t p = 0; p < P; ++p) t_sum += histogram.sums[p * L + l];
     s.centre[l] = t_sum / n;
-    s.col_mean[l] = s.shifts[l] + s.centre[l];
+    s.col_mean[l] = histogram.shifts[l] + s.centre[l];
   }
 
   // The prediction moments reduce to the histogram. The count GEMV gives
@@ -110,17 +108,18 @@ StreamingSecondOrderCpa::SumsView StreamingSecondOrderCpa::block_sums(
   // two-pass instead, as the count-weighted square of the block-centred
   // table the pair bins contract against below. Rows of absent
   // plaintexts stay unset; the contraction skips them too.
+  const std::uint64_t* counts = histogram.counts.data();
   const double* pred = predictions_->data();
   double* mean_h = s.sum_h.data();
   double* m2_h = s.sum_h2.data();
-  kernels.contract_counts(pred, s.counts.data(), P, G, mean_h, m2_h);
+  kernels.contract_counts(pred, counts, P, G, mean_h, m2_h);
   for (std::size_t g = 0; g < G; ++g) {
     mean_h[g] /= n;
     m2_h[g] = 0.0;
   }
   for (std::size_t p = 0; p < P; ++p) {
-    if (s.counts[p] == 0) continue;
-    const double w = static_cast<double>(s.counts[p]);
+    if (counts[p] == 0) continue;
+    const double w = static_cast<double>(counts[p]);
     const double* h = pred + p * G;
     double* hc = s.pred_centred.data() + p * G;
     for (std::size_t g = 0; g < G; ++g) {
@@ -132,24 +131,16 @@ StreamingSecondOrderCpa::SumsView StreamingSecondOrderCpa::block_sums(
 
   // Pass 2: the centred products, binned per plaintext, plus the
   // guess-free moment chains.
-  std::size_t q = 0;
-  for (std::size_t i = 0; i < L; ++i) {
-    for (std::size_t j = i + 1; j < L; ++j, ++q) {
-      s.pair_first[q] = static_cast<std::uint32_t>(i);
-      s.pair_second[q] = static_cast<std::uint32_t>(j);
-    }
-  }
-  kernels.histogram_pairs(pts, rows, count, L, s.shifts.data(),
-                          s.centre.data(), s.pair_first.data(),
-                          s.pair_second.data(), Q, s.dx.data(),
-                          s.bins.data(), s.sum_sq.data(), s.m3_iij.data(),
-                          s.m3_ijj.data(), s.m4.data());
+  kernels.histogram_pairs(pts, rows, count, L, histogram.shifts.data(),
+                          s.centre.data(), s.bins.data(), s.sum_sq.data(),
+                          s.m3_iij.data(), s.m3_ijj.data(), s.m4.data(),
+                          s.work.data());
 
   // One GEMM over both bin groups: rows 0..L-1 of r are c_xh, rows
   // L..L+Q-1 are m3_ijh.
-  kernels.contract_sums(s.pred_centred.data(), s.bins.data(),
-                        s.counts.data(), P, W, G, s.r.data());
-  q = 0;
+  kernels.contract_sums(s.pred_centred.data(), s.bins.data(), counts, P, W,
+                        G, s.r.data());
+  std::size_t q = 0;
   for (std::size_t i = 0; i < L; ++i) {
     s.c2[i * L + i] = s.sum_sq[i];
     for (std::size_t j = i + 1; j < L; ++j, ++q) {
@@ -276,8 +267,18 @@ void StreamingSecondOrderCpa::add_block(const std::uint8_t* pts,
                                         std::size_t width) {
   if (count == 0) return;
   require_width(width);
-  const SumsView b = block_sums(pts, rows, count, width);
-  ensure_width(width);
+  SampledHistogram& histogram = detail::block_scratch().sampled;
+  histogram.compute(pts, rows, count, width);
+  add_histogram(histogram, pts, rows);
+}
+
+void StreamingSecondOrderCpa::add_histogram(const SampledHistogram& histogram,
+                                            const std::uint8_t* pts,
+                                            const double* rows) {
+  if (histogram.count == 0) return;
+  require_width(histogram.width);
+  const SumsView b = block_sums(histogram, pts, rows);
+  ensure_width(histogram.width);
   combine(b);
 }
 

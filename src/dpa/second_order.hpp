@@ -31,11 +31,16 @@
 //   Σ_t (dx_i dx_j)_t · dh[pt_t][g] = Σ_pt B[pt][ij] · dh[pt][g],
 //
 // and add_block runs no per-trace guess loop:
-//  1. histogram_sampled: plaintext counts (the range check is one sweep
-//     over them; the non-finite check reads its per-level Σ dx²) and
-//     the block means;
+//  1. the block's SampledHistogram (dpa/block_stats.hpp): plaintext
+//     counts (the range check is one sweep over them; the non-finite
+//     check reads its per-level Σ dx²) and the block means. In engine
+//     campaigns the shard feed computes it once per attacked instance
+//     and MultiCpa contracts the same one (add_histogram); add_block
+//     computes its own;
 //  2. histogram_pairs: per plaintext Σ dx_i and Σ dx_i·dx_j, plus the
-//     guess-free Σ dx², M3_iij, M3_ijj and M4 chains in trace order;
+//     guess-free Σ dx², M3_iij, M3_ijj and M4 chains in trace order,
+//     with the pair operands permuted in registers from eight-level
+//     blocks of the centred row (no index gathers);
 //  3. one contract_sums GEMM of the L + L(L−1)/2 wide bins against the
 //     block-centred prediction table (pred − mean_h) yields C_xh and
 //     M3_ijh together. C's off-diagonals are the column totals of the
@@ -78,6 +83,7 @@ namespace sable {
 
 class ByteReader;
 class ByteWriter;
+struct SampledHistogram;  // dpa/block_stats.hpp
 
 /// Second-order scores: per guess the largest |ρ| over all level pairs,
 /// plus the (i, j) pair where the winning guess peaked — the two moments
@@ -105,6 +111,14 @@ class StreamingSecondOrderCpa {
   /// plaintext throws InvalidArgument before any state mutates.
   void add_block(const std::uint8_t* pts, const double* rows,
                  std::size_t count, std::size_t width);
+
+  /// add_block over an already computed pass-1 histogram of exactly
+  /// these rows: add_block(pts, rows, count, width) is
+  /// histogram.compute(pts, rows, count, width) followed by this call,
+  /// so accumulators sharing one histogram stay bit-identical to private
+  /// ones.
+  void add_histogram(const SampledHistogram& histogram,
+                     const std::uint8_t* pts, const double* rows);
 
   /// Folds `other` — an accumulator over a disjoint trace subset with the
   /// same spec/model/bit and width — into this one, exactly (pairwise
@@ -161,8 +175,8 @@ class StreamingSecondOrderCpa {
   // first block) without mutating; ensure_width then adopts it.
   void require_width(std::size_t width) const;
   void ensure_width(std::size_t width);
-  SumsView block_sums(const std::uint8_t* pts, const double* rows,
-                      std::size_t count, std::size_t width) const;
+  SumsView block_sums(const SampledHistogram& histogram,
+                      const std::uint8_t* pts, const double* rows) const;
   // Folds B into the running state: exact pairwise combination, highest
   // order first so every update reads pre-merge lower-order values.
   void combine(const SumsView& b);

@@ -301,21 +301,26 @@ StreamingMultiCpa::StreamingMultiCpa(const SboxSpec& spec, PowerModel model,
 
 void StreamingMultiCpa::add_block(const std::uint8_t* pts, const double* rows,
                                   std::size_t count) {
+  SampledHistogram& histogram = block_scratch().sampled;
+  histogram.compute(pts, rows, count, width_);
+  add_histogram(histogram);
+}
+
+void StreamingMultiCpa::add_histogram(const SampledHistogram& histogram) {
+  const std::size_t count = histogram.count;
   if (count == 0) return;
+  SABLE_REQUIRE(histogram.width == width_,
+                "multisample CPA row width must equal the target's level "
+                "count");
+  require_block_pts(histogram.counts.data(), num_plaintexts_);
+  require_finite_block(histogram.sum_sq.data(), width_);
   const BlockStatKernels& kernels = block_stat_kernels(active_tier());
   BlockScratch& scratch = block_scratch(width_, num_guesses_);
-  // Per-column shifts from the block's first row (see the scalar path).
-  for (std::size_t l = 0; l < width_; ++l) scratch.shifts[l] = rows[l];
-  kernels.histogram_sampled(pts, rows, count, width_, scratch.shifts.data(),
-                            scratch.counts.data(), scratch.sums.data(),
-                            scratch.sum_sq.data());
-  require_block_pts(scratch.counts.data(), num_plaintexts_);
-  require_finite_block(scratch.sum_sq.data(), width_);
   const double* pred = predictions_->data();
-  kernels.contract_counts(pred, scratch.counts.data(), num_plaintexts_,
+  kernels.contract_counts(pred, histogram.counts.data(), num_plaintexts_,
                           num_guesses_, scratch.sum_h.data(),
                           scratch.sum_h2.data());
-  kernels.contract_sums(pred, scratch.sums.data(), scratch.counts.data(),
+  kernels.contract_sums(pred, histogram.sums.data(), histogram.counts.data(),
                         num_plaintexts_, width_, num_guesses_,
                         scratch.r.data());
   // Convert to Welford form: per-column totals and moments, then the
@@ -324,12 +329,12 @@ void StreamingMultiCpa::add_block(const std::uint8_t* pts, const double* rows,
   for (std::size_t l = 0; l < width_; ++l) {
     double t_sum = 0.0;
     for (std::size_t p = 0; p < num_plaintexts_; ++p) {
-      t_sum += scratch.sums[p * width_ + l];
+      t_sum += histogram.sums[p * width_ + l];
     }
     scratch.col_sum[l] = t_sum;
-    scratch.col_mean[l] = scratch.shifts[l] + t_sum / n;
+    scratch.col_mean[l] = histogram.shifts[l] + t_sum / n;
     scratch.col_m2[l] =
-        std::max(0.0, scratch.sum_sq[l] - t_sum * t_sum / n);
+        std::max(0.0, histogram.sum_sq[l] - t_sum * t_sum / n);
   }
   for (std::size_t g = 0; g < num_guesses_; ++g) {
     const double mh = scratch.sum_h[g] / n;

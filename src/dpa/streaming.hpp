@@ -50,7 +50,8 @@ namespace sable {
 
 class ByteReader;
 class ByteWriter;
-struct ScalarHistogram;  // dpa/block_stats.hpp
+struct ScalarHistogram;   // dpa/block_stats.hpp
+struct SampledHistogram;  // dpa/block_stats.hpp
 
 // Serialization (io/serial.hpp): every streaming accumulator has a
 // versionless tagged save()/load() pair embedded inside the versioned
@@ -195,6 +196,14 @@ class StreamingMultiCpa {
   /// accuracy and cross-tier bit-identity guarantees.
   void add_block(const std::uint8_t* pts, const double* rows,
                  std::size_t count);
+
+  /// add_block's contraction step over an already computed histogram:
+  /// add_block(pts, rows, count) is exactly histogram.compute(pts, rows,
+  /// count, width()) followed by this call (see
+  /// StreamingCpa::add_histogram). Throws InvalidArgument on a width
+  /// other than width(), an out-of-range plaintext or a non-finite
+  /// sample.
+  void add_histogram(const SampledHistogram& histogram);
 
   std::size_t count() const { return n_; }
   std::size_t width() const { return width_; }

@@ -19,9 +19,12 @@ ShardFeed::ShardFeed(const RoundSpec& round,
     if (it == slot_sbox_.end()) {
       slot_sbox_.push_back(index);
       slot_scalar_.push_back(false);
+      slot_sampled_.push_back(false);
     }
     if (distinguishers[d]->data_kind() == TraceDataKind::kScalar) {
       slot_scalar_[slot_of_[d]] = true;
+    } else {
+      slot_sampled_[slot_of_[d]] = true;
     }
   }
 }
@@ -47,10 +50,15 @@ void ShardFeed::feed(const ShardTraces& traces, ShardStates& states,
     sub_pts = scratch.sub_pts.data();
   }
   scratch.histograms.resize(slots);
+  scratch.sampled.resize(slots);
   for (std::size_t slot = 0; slot < slots; ++slot) {
+    const std::uint8_t* slot_pts = sub_pts + slot * traces.count;
     if (slot_scalar_[slot]) {
-      scratch.histograms[slot].compute(sub_pts + slot * traces.count,
-                                       traces.scalar, traces.count);
+      scratch.histograms[slot].compute(slot_pts, traces.scalar, traces.count);
+    }
+    if (slot_sampled_[slot]) {
+      scratch.sampled[slot].compute(slot_pts, traces.rows, traces.count,
+                                    traces.levels);
     }
   }
   for (std::size_t d = 0; d < distinguishers_.size(); ++d) {
@@ -63,6 +71,7 @@ void ShardFeed::feed(const ShardTraces& traces, ShardStates& states,
     block.width = scalar ? 1 : traces.levels;
     block.count = traces.count;
     block.histogram = scalar ? &scratch.histograms[slot_of_[d]] : nullptr;
+    block.sampled_histogram = scalar ? nullptr : &scratch.sampled[slot_of_[d]];
     auto& state = states[d][traces.shard];
     state = distinguishers_[d]->make_shard_accumulator();
     state->accumulate(block);

@@ -33,19 +33,23 @@ struct ShardTraces {
 
 /// Feeds shards to a distinguisher set. The per-instance work is
 /// deduplicated: distinguishers attacking the same instance share one
-/// RoundSpec::sub_words pass per shard, and, when any of them consumes
-/// scalar data, one ScalarHistogram of (sub-plaintexts, samples) per
-/// shard, handed to each scalar block as ShardBlock::histogram. A round
+/// RoundSpec::sub_words pass per shard; when any of them consumes scalar
+/// data, one ScalarHistogram of (sub-plaintexts, samples) per shard,
+/// handed to each scalar block as ShardBlock::histogram; and when any of
+/// them consumes sampled data, one SampledHistogram of (sub-plaintexts,
+/// rows) per shard, handed to each sampled block as
+/// ShardBlock::sampled_histogram. A round
 /// of one byte-wide S-box skips the extraction and hands the plaintexts
 /// through as the sub-plaintexts, so a byte outside the S-box input range
 /// reaches the accumulators, which reject it ("plaintext out of range").
 class ShardFeed {
  public:
   /// A worker's reusable feed storage: every slot's sub-plaintexts and
-  /// scalar histogram for the shard being fed.
+  /// scalar and sampled histograms for the shard being fed.
   struct Scratch {
     std::vector<std::uint8_t> sub_pts;
     std::vector<ScalarHistogram> histograms;
+    std::vector<SampledHistogram> sampled;
   };
 
   /// `round` and `distinguishers` must outlive the feed.
@@ -66,6 +70,7 @@ class ShardFeed {
   std::span<Distinguisher* const> distinguishers_;
   std::vector<std::size_t> slot_sbox_;  // extraction slot -> instance
   std::vector<bool> slot_scalar_;       // slot has a scalar consumer
+  std::vector<bool> slot_sampled_;      // slot has a sampled consumer
   std::vector<std::size_t> slot_of_;    // distinguisher -> slot
   bool alias_ = false;                  // pts double as sub-plaintexts
 };

@@ -1,6 +1,7 @@
 #include "engine/trace_engine.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <mutex>
 #include <utility>
 #include <vector>
@@ -143,10 +144,19 @@ ShardLayout layout_for(const CampaignOptions& options) {
   return layout;
 }
 
-void validate_key(const RoundSpec& round, const CampaignOptions& options) {
+// The up-front checks every campaign entry point runs before it
+// simulates, reads or writes anything.
+void validate_options(const RoundSpec& round,
+                      const CampaignOptions& options) {
   SABLE_REQUIRE(options.key.size() == round.state_bytes(),
                 "CampaignOptions::key must hold round().state_bytes() packed "
                 "bytes (use RoundSpec::pack_subkeys)");
+  // A NaN or infinite sigma would make every sample non-finite, which
+  // the accumulators would only reject block by block. A negative sigma
+  // keeps its meaning: samples get sigma·z for standard normal draws z,
+  // zero-mean noise of RMS |sigma| either way.
+  SABLE_REQUIRE(std::isfinite(options.noise_sigma),
+                "CampaignOptions::noise_sigma must be finite");
 }
 
 // Simulates one shard into caller-provided storage: `data` receives count
@@ -499,7 +509,7 @@ const SboxSpec& TraceEngine::spec(std::size_t sbox_index) const {
 }
 
 TraceSet TraceEngine::run(const CampaignOptions& options) {
-  validate_key(round(), options);
+  validate_options(round(), options);
   return with_lane(target_, *pools_, options,
                    [&](const auto& prototype, auto& pool) {
                      return run_campaign(prototype, pool, pools_->workers,
@@ -509,7 +519,7 @@ TraceSet TraceEngine::run(const CampaignOptions& options) {
 
 void TraceEngine::stream(const CampaignOptions& options,
                          const TraceSink& sink) {
-  validate_key(round(), options);
+  validate_options(round(), options);
   with_lane(target_, *pools_, options,
             [&](const auto& prototype, auto& pool) {
               stream_waves(prototype, pool, pools_->workers, options,
@@ -519,7 +529,7 @@ void TraceEngine::stream(const CampaignOptions& options,
 
 void TraceEngine::stream_sampled(const CampaignOptions& options,
                                  const TraceSink& sink) {
-  validate_key(round(), options);
+  validate_options(round(), options);
   SABLE_REQUIRE(target_.num_levels() > 0,
                 "time-resolved campaigns need at least one logic level");
   with_lane(target_, *pools_, options,
@@ -537,7 +547,7 @@ bool TraceEngine::run_distinguishers(
                 "run_distinguishers needs at least one distinguisher");
   SABLE_REQUIRE(options.num_traces >= 2,
                 "attack campaigns require at least two traces");
-  validate_key(round(), options);
+  validate_options(round(), options);
   for (Distinguisher* d : distinguishers) {
     SABLE_REQUIRE(d != nullptr, "distinguisher must not be null");
     d->validate(round());
@@ -564,7 +574,7 @@ void TraceEngine::merge_partials(
                 "merge_partials needs at least one distinguisher");
   SABLE_REQUIRE(!partial_paths.empty(),
                 "merge_partials needs at least one partial state file");
-  validate_key(round(), options);
+  validate_options(round(), options);
   for (Distinguisher* d : distinguishers) {
     SABLE_REQUIRE(d != nullptr, "distinguisher must not be null");
     d->validate(round());
@@ -586,7 +596,7 @@ void TraceEngine::merge_partials(
 void TraceEngine::record(const CampaignOptions& options, TraceDataKind kind,
                          const std::string& path, std::uint32_t compression,
                          std::uint32_t version) {
-  validate_key(round(), options);
+  validate_options(round(), options);
   SABLE_REQUIRE(options.num_traces >= 1,
                 "recording requires at least one trace");
   CorpusManifest manifest;

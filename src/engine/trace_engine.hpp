@@ -83,7 +83,9 @@ struct CampaignOptions {
   /// default single zero byte fits any single-S-box target.
   std::vector<std::uint8_t> key = {0};
   /// Gaussian measurement noise RMS [J] added per trace (per sample for
-  /// time-resolved campaigns).
+  /// time-resolved campaigns). Must be finite (every entry point throws
+  /// InvalidArgument otherwise); a negative value adds sigma·z, noise of
+  /// RMS |sigma|.
   double noise_sigma = 0.0;
   /// Seed of the campaign's plaintext/noise streams; one seed reproduces
   /// the exact trace sequence bit for bit.

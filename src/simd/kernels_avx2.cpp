@@ -20,8 +20,11 @@
 #if SABLE_HAVE_WORD256
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cstring>
+#include <type_traits>
+#include <utility>
 
 #include "cell/builder.hpp"
 #include "cell/circuit_sim.hpp"

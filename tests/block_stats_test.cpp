@@ -9,16 +9,18 @@
 //  2. Cross-tier bit-identity — the same blocks produce byte-identical
 //     serialized state under every dispatch tier the build and the
 //     machine support, and the raw kernels agree bitwise output-for-
-//     output. This is what lets a corpus recorded on an AVX-512 box
-//     resume on a portable one.
+//     output, the sampled and pair passes with their per-trace reference
+//     loops (dpa_reference.hpp) too. This is what lets a corpus recorded
+//     on an AVX-512 box resume on a portable one.
 //  3. Persistence shape — save after K blocks, load, feed the
 //     remaining block (or merge a partial holding it): the re-saved
 //     state is byte-identical to straight-through accumulation. This
 //     is exactly the checkpoint/resume and merge_partials shape.
 //
 // Plus the shared-histogram contract: an accumulator handed a
-// precomputed ScalarHistogram (the shard feed shares one per attacked
-// instance) saves exactly the state of one that ran the pass itself;
+// precomputed ScalarHistogram or SampledHistogram (the shard feed shares
+// one of each per attacked instance) saves exactly the state of one that
+// ran the pass itself;
 // and the hoisted validation contract: an out-of-range plaintext
 // anywhere in a block throws InvalidArgument before any state mutates.
 #include <gtest/gtest.h>
@@ -273,50 +275,82 @@ TEST(BlockStatsTest, CpaBitIdenticalAcrossDispatchTiers) {
   }
 }
 
+// The row widths the engine produces (PRESENT rounds have 6 levels, AES
+// rounds 20) and the edges of the sampled kernels' 8-level blocks: one
+// pair, one whole block, one level past it.
+constexpr std::size_t kTierWidths[] = {2, 6, 8, 9, 20};
+
+// A block split whose blocks end off the kernels' 64-trace tiles: a
+// one-trace block, a ragged tile tail, a block shorter than a tile.
+constexpr std::size_t kTileBlockSizes[] = {1, 450, 61, 516};
+constexpr std::size_t kTileTotal = 1 + 450 + 61 + 516;
+
+template <typename Feed>
+void for_each_tile_block(const TraceSet& t, const Feed& feed) {
+  std::size_t off = 0;
+  for (const std::size_t n : kTileBlockSizes) {
+    feed(t.pts.data() + off, t.rows.data() + off * t.width, n);
+    off += n;
+  }
+  ASSERT_EQ(off, t.pts.size());
+}
+
 TEST(BlockStatsTest, MultiCpaBitIdenticalAcrossDispatchTiers) {
-  constexpr std::size_t kWidth = 7;
-  const TraceSet t = make_traces(kTotal, 16, kWidth, 0x71E6);
-  std::vector<std::uint8_t> reference;
-  for (const DispatchTier tier : testable_tiers()) {
-    ScopedDispatchTierCap cap(tier);
-    StreamingMultiCpa acc(present_spec(), PowerModel::kHammingWeight, kWidth);
-    for_each_block(t, [&](const std::uint8_t* pts, const double* rows,
-                          std::size_t n) { acc.add_block(pts, rows, n); });
-    const std::vector<std::uint8_t> bytes = saved_bytes(acc);
-    if (reference.empty()) {
-      reference = bytes;
-    } else {
-      EXPECT_EQ(bytes, reference) << "tier " << static_cast<int>(tier);
+  for (const std::size_t width : kTierWidths) {
+    SCOPED_TRACE("width " + std::to_string(width));
+    const TraceSet t = make_traces(kTileTotal, 16, width, 0x71E6 + width);
+    std::vector<std::uint8_t> reference;
+    for (const DispatchTier tier : testable_tiers()) {
+      ScopedDispatchTierCap cap(tier);
+      StreamingMultiCpa acc(present_spec(), PowerModel::kHammingWeight,
+                            width);
+      for_each_tile_block(t, [&](const std::uint8_t* pts, const double* rows,
+                                 std::size_t n) {
+        acc.add_block(pts, rows, n);
+      });
+      const std::vector<std::uint8_t> bytes = saved_bytes(acc);
+      if (reference.empty()) {
+        reference = bytes;
+      } else {
+        EXPECT_EQ(bytes, reference) << "tier " << static_cast<int>(tier);
+      }
     }
   }
 }
 
 TEST(BlockStatsTest, SecondOrderBitIdenticalAcrossDispatchTiers) {
-  constexpr std::size_t kWidth = 9;
-  const TraceSet t =
-      make_second_order_traces(kTotal, present_spec(), kWidth, 0x3, 0x71E7);
-  std::vector<std::uint8_t> reference;
-  for (const DispatchTier tier : testable_tiers()) {
-    ScopedDispatchTierCap cap(tier);
-    const std::vector<std::uint8_t> bytes =
-        saved_bytes(second_order_blocks(t, present_spec()));
-    if (reference.empty()) {
-      reference = bytes;
-    } else {
-      EXPECT_EQ(bytes, reference) << "tier " << static_cast<int>(tier);
+  for (const std::size_t width : kTierWidths) {
+    SCOPED_TRACE("width " + std::to_string(width));
+    const TraceSet t = make_second_order_traces(kTileTotal, present_spec(),
+                                                width, 0x3, 0x71E7 + width);
+    std::vector<std::uint8_t> reference;
+    for (const DispatchTier tier : testable_tiers()) {
+      ScopedDispatchTierCap cap(tier);
+      StreamingSecondOrderCpa acc(present_spec(), PowerModel::kHammingWeight);
+      for_each_tile_block(t, [&](const std::uint8_t* pts, const double* rows,
+                                 std::size_t n) {
+        acc.add_block(pts, rows, n, width);
+      });
+      const std::vector<std::uint8_t> bytes = saved_bytes(acc);
+      if (reference.empty()) {
+        reference = bytes;
+      } else {
+        EXPECT_EQ(bytes, reference) << "tier " << static_cast<int>(tier);
+      }
     }
   }
 }
 
 TEST(BlockStatsTest, RawKernelsBitIdenticalAcrossDispatchTiers) {
-  // Below the accumulators: the dispatched kernel table itself. Every
-  // tier's histogram and contraction outputs must agree bitwise — the
-  // instantiations differ only in codegen, never in arithmetic shape.
-  constexpr std::size_t kCount = 700;
+  // Below the accumulators: the dispatched kernel table itself. The
+  // sampled and pair passes must equal the per-trace reference loops
+  // (dpa_reference.hpp) bit for bit at every tier, and the contraction
+  // outputs must agree bitwise across tiers — the instantiations differ
+  // only in codegen, never in arithmetic shape. The row buffers hold
+  // exactly count·width doubles, so a kernel reading past them shows
+  // under ASan.
   constexpr std::size_t kPts = 16;
   constexpr std::size_t kGuesses = 16;
-  constexpr std::size_t kWidth = 3;
-  const TraceSet t = make_traces(kCount, kPts, kWidth, 0xFACE);
   std::vector<double> pred(kPts * kGuesses);
   std::vector<std::uint8_t> pred_bit(kPts * kGuesses);
   Rng rng(0xBEEF);
@@ -324,73 +358,156 @@ TEST(BlockStatsTest, RawKernelsBitIdenticalAcrossDispatchTiers) {
     pred[i] = static_cast<double>(rng.below(9));
     pred_bit[i] = static_cast<std::uint8_t>(rng.below(2));
   }
-  std::vector<double> shifts(kWidth, 1e-13);
-  const std::vector<double> centre = {3e-16, -2e-16, 5e-16};
-  const std::vector<std::uint32_t> pair_first = {0, 0, 1};
-  const std::vector<std::uint32_t> pair_second = {1, 2, 2};
-  constexpr std::size_t kPairs = 3;
 
   struct Outputs {
     std::vector<std::uint64_t> counts;
     std::vector<double> sums, sum_sq, sum_h, sum_h2, r, sum0, sum1;
     std::vector<std::uint64_t> cnt0, cnt1;
-    std::vector<double> dx, bins, pair_sq, m3_iij, m3_ijj, m4;
+    std::vector<double> bins, pair_sq, m3_iij, m3_ijj, m4;
   };
-  auto run = [&](DispatchTier tier) {
-    const BlockStatKernels& k = block_stat_kernels(tier);
-    Outputs o;
-    o.counts.resize(detail::kBlockPts);
-    o.sums.resize(detail::kBlockPts * kWidth);
-    o.sum_sq.resize(kWidth);
-    o.sum_h.resize(kGuesses);
-    o.sum_h2.resize(kGuesses);
-    o.r.resize(kWidth * kGuesses);
-    o.sum0.resize(kGuesses);
-    o.sum1.resize(kGuesses);
-    o.cnt0.resize(kGuesses);
-    o.cnt1.resize(kGuesses);
-    k.histogram_sampled(t.pts.data(), t.rows.data(), kCount, kWidth,
-                        shifts.data(), o.counts.data(), o.sums.data(),
-                        o.sum_sq.data());
-    k.contract_counts(pred.data(), o.counts.data(), kPts, kGuesses,
-                      o.sum_h.data(), o.sum_h2.data());
-    k.contract_sums(pred.data(), o.sums.data(), o.counts.data(), kPts,
-                    kWidth, kGuesses, o.r.data());
-    k.contract_dom(pred_bit.data(), o.counts.data(), o.sums.data(), kPts,
-                   kGuesses, o.sum0.data(), o.sum1.data(), o.cnt0.data(),
-                   o.cnt1.data());
-    o.dx.resize(kWidth);
-    o.bins.resize(detail::kBlockPts * (kWidth + kPairs));
-    o.pair_sq.resize(kWidth);
-    o.m3_iij.resize(kPairs);
-    o.m3_ijj.resize(kPairs);
-    o.m4.resize(kPairs);
-    k.histogram_pairs(t.pts.data(), t.rows.data(), kCount, kWidth,
-                      shifts.data(), centre.data(), pair_first.data(),
-                      pair_second.data(), kPairs, o.dx.data(),
-                      o.bins.data(), o.pair_sq.data(), o.m3_iij.data(),
-                      o.m3_ijj.data(), o.m4.data());
-    return o;
-  };
+  for (const std::size_t width : kTierWidths) {
+    for (const std::size_t count : {std::size_t{1}, std::size_t{70},
+                                    std::size_t{700}}) {
+      SCOPED_TRACE("width " + std::to_string(width) + " count " +
+                   std::to_string(count));
+      const TraceSet t =
+          make_traces(count, kPts, width, 0xFACE + 7 * width + count);
+      const std::size_t pairs = width * (width - 1) / 2;
+      std::vector<double> shifts(t.rows.begin(),
+                                 t.rows.begin() +
+                                     static_cast<std::ptrdiff_t>(width));
+      std::vector<double> centre(width);
+      for (std::size_t l = 0; l < width; ++l) {
+        centre[l] = 1e-16 * (static_cast<double>(l % 5) - 2.0);
+      }
+      auto sized = [&] {
+        Outputs o;
+        o.counts.resize(detail::kBlockPts);
+        o.sums.resize(detail::kBlockPts * width);
+        o.sum_sq.resize(width);
+        o.sum_h.resize(kGuesses);
+        o.sum_h2.resize(kGuesses);
+        o.r.resize(width * kGuesses);
+        o.sum0.resize(kGuesses);
+        o.sum1.resize(kGuesses);
+        o.cnt0.resize(kGuesses);
+        o.cnt1.resize(kGuesses);
+        o.bins.resize(detail::kBlockPts * (width + pairs));
+        o.pair_sq.resize(width);
+        o.m3_iij.resize(pairs);
+        o.m3_ijj.resize(pairs);
+        o.m4.resize(pairs);
+        return o;
+      };
+      auto run = [&](DispatchTier tier) {
+        const BlockStatKernels& k = block_stat_kernels(tier);
+        Outputs o = sized();
+        std::vector<double> work(detail::sampled_work_size(width));
+        k.histogram_sampled(t.pts.data(), t.rows.data(), count, width,
+                            shifts.data(), o.counts.data(), o.sums.data(),
+                            o.sum_sq.data(), work.data());
+        k.contract_counts(pred.data(), o.counts.data(), kPts, kGuesses,
+                          o.sum_h.data(), o.sum_h2.data());
+        k.contract_sums(pred.data(), o.sums.data(), o.counts.data(), kPts,
+                        width, kGuesses, o.r.data());
+        k.contract_dom(pred_bit.data(), o.counts.data(), o.sums.data(),
+                       kPts, kGuesses, o.sum0.data(), o.sum1.data(),
+                       o.cnt0.data(), o.cnt1.data());
+        work.assign(detail::pairs_work_size(width), 0.0);
+        k.histogram_pairs(t.pts.data(), t.rows.data(), count, width,
+                          shifts.data(), centre.data(), o.bins.data(),
+                          o.pair_sq.data(), o.m3_iij.data(), o.m3_ijj.data(),
+                          o.m4.data(), work.data());
+        return o;
+      };
 
-  const Outputs ref = run(DispatchTier::kPortable);
-  for (const DispatchTier tier : testable_tiers()) {
-    const Outputs got = run(tier);
-    EXPECT_EQ(got.counts, ref.counts) << "tier " << static_cast<int>(tier);
-    EXPECT_EQ(got.cnt0, ref.cnt0);
-    EXPECT_EQ(got.cnt1, ref.cnt1);
-    expect_same_bits(got.sums, ref.sums);
-    expect_same_bits(got.sum_sq, ref.sum_sq);
-    expect_same_bits(got.sum_h, ref.sum_h);
-    expect_same_bits(got.sum_h2, ref.sum_h2);
-    expect_same_bits(got.r, ref.r);
-    expect_same_bits(got.sum0, ref.sum0);
-    expect_same_bits(got.sum1, ref.sum1);
-    expect_same_bits(got.bins, ref.bins);
-    expect_same_bits(got.pair_sq, ref.pair_sq);
-    expect_same_bits(got.m3_iij, ref.m3_iij);
-    expect_same_bits(got.m3_ijj, ref.m3_ijj);
-    expect_same_bits(got.m4, ref.m4);
+      Outputs want = sized();
+      reference::histogram_sampled(t.pts.data(), t.rows.data(), count, width,
+                                   shifts.data(), want.counts.data(),
+                                   want.sums.data(), want.sum_sq.data());
+      reference::histogram_pairs(t.pts.data(), t.rows.data(), count, width,
+                                 shifts.data(), centre.data(),
+                                 want.bins.data(), want.pair_sq.data(),
+                                 want.m3_iij.data(), want.m3_ijj.data(),
+                                 want.m4.data());
+      const Outputs ref = run(DispatchTier::kPortable);
+      for (const DispatchTier tier : testable_tiers()) {
+        SCOPED_TRACE("tier " + std::to_string(static_cast<int>(tier)));
+        const Outputs got = run(tier);
+        EXPECT_EQ(got.counts, want.counts);
+        expect_same_bits(got.sums, want.sums);
+        expect_same_bits(got.sum_sq, want.sum_sq);
+        expect_same_bits(got.bins, want.bins);
+        expect_same_bits(got.pair_sq, want.pair_sq);
+        expect_same_bits(got.m3_iij, want.m3_iij);
+        expect_same_bits(got.m3_ijj, want.m3_ijj);
+        expect_same_bits(got.m4, want.m4);
+        EXPECT_EQ(got.cnt0, ref.cnt0);
+        EXPECT_EQ(got.cnt1, ref.cnt1);
+        expect_same_bits(got.sum_h, ref.sum_h);
+        expect_same_bits(got.sum_h2, ref.sum_h2);
+        expect_same_bits(got.r, ref.r);
+        expect_same_bits(got.sum0, ref.sum0);
+        expect_same_bits(got.sum1, ref.sum1);
+      }
+    }
+  }
+}
+
+// The sampled sibling of the next test: the shard feed computes one
+// SampledHistogram per attacked instance and shard, and MultiCpa and
+// second-order CPA handed it must save exactly the bytes of accumulators
+// that ran their own pass, on every dispatch tier, at a PRESENT and an
+// AES round's level count. The blocks are a count-1 block, a block whose
+// first row (the shift) is not its minimum, and a ragged plain one.
+TEST(BlockStatsTest, SharedAndPrivateSampledHistogramsSaveIdenticalState) {
+  const SboxSpec spec = present_spec();
+  const AttackSelector selector{.model = PowerModel::kHammingWeight};
+  struct Range {
+    std::size_t start, count;
+  };
+  const Range blocks[] = {{0, 1}, {1, 300}, {301, 131}};
+  constexpr std::size_t kTraces = 432;
+  for (const std::size_t width : {std::size_t{6}, std::size_t{20}}) {
+    SCOPED_TRACE("width " + std::to_string(width));
+    TraceSet t = make_second_order_traces(kTraces, spec, width, 0x9, 0x5A3 +
+                                                                         width);
+    for (std::size_t l = 0; l < width; ++l) {
+      t.rows[1 * width + l] = 1e-13;
+      t.rows[2 * width + l] = 1e-13 - 5e-15;  // below the block's shift
+    }
+    MultiCpaDistinguisher multi(spec, selector, width);
+    SecondOrderCpaDistinguisher second(spec, selector);
+    const Distinguisher* const list[] = {&multi, &second};
+    std::vector<std::vector<std::uint8_t>> reference(2);
+    for (const DispatchTier tier : testable_tiers()) {
+      SCOPED_TRACE("tier " + std::to_string(static_cast<int>(tier)));
+      ScopedDispatchTierCap cap(tier);
+      for (std::size_t d = 0; d < 2; ++d) {
+        const auto shared = list[d]->make_shard_accumulator();
+        const auto own = list[d]->make_shard_accumulator();
+        for (const Range& range : blocks) {
+          SampledHistogram histogram;
+          histogram.compute(t.pts.data() + range.start,
+                            t.rows.data() + range.start * width, range.count,
+                            width);
+          ShardBlock block;
+          block.start = range.start;
+          block.sub_pts = t.pts.data() + range.start;
+          block.data = t.rows.data() + range.start * width;
+          block.count = range.count;
+          block.width = width;
+          block.sampled_histogram = &histogram;
+          shared->accumulate(block);
+          block.sampled_histogram = nullptr;
+          own->accumulate(block);
+        }
+        const std::vector<std::uint8_t> bytes = saved_bytes(*shared);
+        EXPECT_EQ(bytes, saved_bytes(*own)) << "distinguisher " << d;
+        if (reference[d].empty()) reference[d] = bytes;
+        EXPECT_EQ(bytes, reference[d]) << "distinguisher " << d;
+      }
+    }
   }
 }
 

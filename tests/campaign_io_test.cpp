@@ -15,8 +15,10 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -32,6 +34,7 @@
 #include "engine/trace_engine.hpp"
 #include "io/campaign_state.hpp"
 #include "io/corpus.hpp"
+#include "util/error.hpp"
 #include "io/manifest.hpp"
 #include "io/replay.hpp"
 #include "io/serial.hpp"
@@ -113,6 +116,21 @@ Block make_block(std::size_t count, std::size_t width = 1) {
 }
 
 // ---- accumulator serialization --------------------------------------------
+
+TEST(CampaignIoTest, RecordRejectsNonFiniteNoiseBeforeCreatingAFile) {
+  TraceEngine engine(present_spec(), LogicStyle::kSablEnhanced,
+                     Technology::generic_180nm());
+  CampaignOptions options = small_options();
+  options.noise_sigma = std::nan("");
+  const std::string path = temp_path("nan_noise.corpus");
+  std::remove(path.c_str());
+  EXPECT_THROW(engine.record(options, TraceDataKind::kScalar, path),
+               InvalidArgument);
+  options.noise_sigma = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(engine.record(options, TraceDataKind::kSampled, path),
+               InvalidArgument);
+  EXPECT_FALSE(std::ifstream(path).good()) << "a corpus file was created";
+}
 
 TEST(CampaignIoTest, StreamingCpaRoundTripsBitExactly) {
   StreamingCpa original(present_spec(), PowerModel::kHammingWeight);

@@ -403,5 +403,53 @@ TEST(ReplaySharedTest, ShardMajorPassMatchesPerSetReplay) {
   }
 }
 
+// The --all-subkeys shape (examples/campaign_cli.cpp): a cache bounded to
+// one decoded shard per worker. The pass is shard-major and each worker
+// holds one shard at a time, so the bound costs no re-decode, and the
+// results equal an unbounded pass bit for bit, at any thread count.
+TEST(ReplaySharedTest, CacheBoundedToThreadsDecodesEachShardOnce) {
+  const RoundSpec round = present_round(16, LogicStyle::kStaticCmos);
+  CampaignOptions options = small_options();  // 7 shards, ragged tail
+  std::vector<std::size_t> subkeys(round.num_sboxes());
+  for (std::size_t j = 0; j < subkeys.size(); ++j) {
+    subkeys[j] = (5 + 3 * j) & 0xF;
+  }
+  options.key = round.pack_subkeys(subkeys);
+  TraceEngine engine(round, kTech);
+  const std::string path = temp_path("round16_bounded.corpus");
+  engine.record(options, TraceDataKind::kScalar, path);
+  const std::vector<std::size_t> ladder = {100, 448, 1000, 3000};
+
+  const auto run = [&](std::size_t threads, std::size_t bound) {
+    std::vector<std::unique_ptr<SubkeySet>> sets;
+    std::vector<std::span<Distinguisher* const>> spans;
+    for (std::size_t j = 0; j < round.num_sboxes(); ++j) {
+      sets.push_back(std::make_unique<SubkeySet>(round, j, subkeys[j], ladder,
+                                                 options.num_traces));
+      spans.emplace_back(sets.back()->list);
+    }
+    SharedCorpus corpus(path, bound);
+    replay_shared(corpus, round, spans, threads);
+    EXPECT_EQ(corpus.decode_count(), corpus.num_shards());
+    return sets;
+  };
+
+  const auto unbounded = run(1, 0);
+  for (const std::size_t threads : {1, 2, 4}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    const auto bounded = run(threads, threads);
+    for (std::size_t j = 0; j < bounded.size(); ++j) {
+      SCOPED_TRACE("sbox " + std::to_string(j));
+      expect_same_scores(bounded[j]->cpa.result().score,
+                         unbounded[j]->cpa.result().score);
+      expect_same_scores(bounded[j]->dom.result().score,
+                         unbounded[j]->dom.result().score);
+      EXPECT_EQ(bounded[j]->mtd.result().rank_history,
+                unbounded[j]->mtd.result().rank_history);
+      EXPECT_EQ(bounded[j]->mtd.result().mtd, unbounded[j]->mtd.result().mtd);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace sable

@@ -191,4 +191,75 @@ inline MtdResult cpa_prefix_mtd(const TraceSet& traces,
                     });
 }
 
+// ---- per-trace histogram passes --------------------------------------------
+//
+// The straightforward per-trace loops the register-resident sampled
+// kernels (dpa/block_stats_impl.hpp) replaced, kept as their reference:
+// same outputs, same layout, same addition chain per output (sequential
+// in trace order, plain mul + add), so the kernels must match them bit
+// for bit at every dispatch tier.
+
+/// Sampled-row histogram: counts[256], sums[p*width + l] of
+/// (row[l] − shifts[l]), sum_sq[l] of its square.
+inline void histogram_sampled(const std::uint8_t* pts, const double* rows,
+                              std::size_t count, std::size_t width,
+                              const double* shifts, std::uint64_t* counts,
+                              double* sums, double* sum_sq) {
+  std::fill_n(counts, 256, 0);
+  std::fill_n(sums, 256 * width, 0.0);
+  std::fill_n(sum_sq, width, 0.0);
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::size_t p = pts[i];
+    counts[p] += 1;
+    for (std::size_t l = 0; l < width; ++l) {
+      const double d = rows[i * width + l] - shifts[l];
+      sums[p * width + l] += d;
+      sum_sq[l] += d * d;
+    }
+  }
+}
+
+/// Second-order pair pass: dx_l = (row[l] − shifts[l]) − centre[l];
+/// bins[p*(width+Q) + l] of dx_l and bins[p*(width+Q) + width + q] of
+/// dx_i·dx_j for the lexicographic pair q = (i, j), i < j; sum_sq, m3_iij,
+/// m3_ijj and m4 as in dpa/block_stats.hpp.
+inline void histogram_pairs(const std::uint8_t* pts, const double* rows,
+                            std::size_t count, std::size_t width,
+                            const double* shifts, const double* centre,
+                            double* bins, double* sum_sq, double* m3_iij,
+                            double* m3_ijj, double* m4) {
+  std::vector<std::size_t> first, second;
+  for (std::size_t i = 0; i < width; ++i) {
+    for (std::size_t j = i + 1; j < width; ++j) {
+      first.push_back(i);
+      second.push_back(j);
+    }
+  }
+  const std::size_t num_pairs = first.size();
+  const std::size_t bin_width = width + num_pairs;
+  std::fill_n(bins, 256 * bin_width, 0.0);
+  std::fill_n(sum_sq, width, 0.0);
+  std::fill_n(m3_iij, num_pairs, 0.0);
+  std::fill_n(m3_ijj, num_pairs, 0.0);
+  std::fill_n(m4, num_pairs, 0.0);
+  std::vector<double> dx(width);
+  for (std::size_t i = 0; i < count; ++i) {
+    double* bin = bins + pts[i] * bin_width;
+    for (std::size_t l = 0; l < width; ++l) {
+      dx[l] = (rows[i * width + l] - shifts[l]) - centre[l];
+      bin[l] += dx[l];
+      sum_sq[l] += dx[l] * dx[l];
+    }
+    for (std::size_t q = 0; q < num_pairs; ++q) {
+      const double di = dx[first[q]];
+      const double dj = dx[second[q]];
+      const double prod = di * dj;
+      bin[width + q] += prod;
+      m3_iij[q] += di * prod;
+      m3_ijj[q] += prod * dj;
+      m4[q] += prod * prod;
+    }
+  }
+}
+
 }  // namespace sable::reference

@@ -6,6 +6,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <string>
 
 #include "cell/builder.hpp"
 #include "cell/circuit_sim.hpp"
@@ -14,6 +16,7 @@
 #include "core/genuine_builder.hpp"
 #include "crypto/target.hpp"
 #include "dpa/attack.hpp"
+#include "dpa/distinguisher.hpp"
 #include "dpa/mtd.hpp"
 #include "dpa/streaming.hpp"
 #include "dpa_reference.hpp"
@@ -21,6 +24,7 @@
 #include "expr/random_expr.hpp"
 #include "expr/truth_table.hpp"
 #include "switchsim/energy.hpp"
+#include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace sable {
@@ -522,6 +526,35 @@ TEST(TraceEngineTest, RepeatedCampaignsOnOneEngineAreReproducible) {
     EXPECT_EQ(first.plaintexts[i], second.plaintexts[i]);
     EXPECT_EQ(first.samples[i], second.samples[i]) << i;
   }
+}
+
+TEST(TraceEngineTest, NonFiniteNoiseSigmaThrowsAtEveryEntryPoint) {
+  // A NaN or infinite sigma is rejected up front, before any shard is
+  // simulated or any sink called; a negative one still runs.
+  TraceEngine engine(present_spec(), LogicStyle::kSablEnhanced, kTech);
+  const AttackSelector selector{.model = PowerModel::kHammingWeight};
+  const auto sink = [](const std::uint8_t*, const double*, std::size_t) {
+    ADD_FAILURE() << "sink called for a rejected campaign";
+  };
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double sigma : {std::nan(""), inf, -inf}) {
+    SCOPED_TRACE("sigma " + std::to_string(sigma));
+    CampaignOptions options;
+    options.num_traces = 200;
+    options.key = {0x3};
+    options.noise_sigma = sigma;
+    EXPECT_THROW(engine.run(options), InvalidArgument);
+    EXPECT_THROW(engine.stream(options, sink), InvalidArgument);
+    EXPECT_THROW(engine.stream_sampled(options, sink), InvalidArgument);
+    CpaDistinguisher cpa(present_spec(), selector);
+    Distinguisher* const list[] = {&cpa};
+    EXPECT_THROW(engine.run_distinguishers(options, list), InvalidArgument);
+  }
+  CampaignOptions negative;
+  negative.num_traces = 200;
+  negative.key = {0x3};
+  negative.noise_sigma = -1e-16;
+  EXPECT_EQ(engine.run(negative).size(), 200u);
 }
 
 TEST(TraceEngineTest, ConstantPowerStylesStayFlatAtScale) {
