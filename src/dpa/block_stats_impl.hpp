@@ -2,15 +2,18 @@
 // dpa/block_stats.hpp. Included by exactly the TUs that instantiate
 // them: dpa/block_stats.cpp for the portable tier and the per-ISA TUs
 // under src/simd/ (inside their #pragma GCC target regions) for the
-// AVX2/AVX-512 tiers — the tier template parameter only mints a distinct
-// symbol per ISA; the bodies are identical and rely on autovectorization
-// under the including TU's target.
+// AVX2/AVX-512 tiers — the tier template parameter mints a distinct
+// symbol per ISA and, for the sampled passes, picks the native vector
+// size their eight-lane level blocks are split into (NativeLanes); the
+// other bodies are identical and rely on autovectorization under the
+// including TU's target.
 //
 // Determinism rules every body obeys (see block_stats.hpp):
-//  - scalar floating-point reductions (sum_sq, and the histogram scatter)
-//    accumulate sequentially in trace order — GCC never reorders FP
-//    reductions without -fassociative-math, so these stay scalar chains
-//    at every tier;
+//  - floating-point reductions (sum_sq, the m3/m4 chains and the
+//    histogram scatter) accumulate sequentially in trace order — GCC
+//    never reorders FP reductions without -fassociative-math; the
+//    sampled passes keep one such chain per vector lane, so each
+//    output's chain is the same at every tier;
 //  - contraction loops keep the plaintext loop outermost and vectorize
 //    only across independent output elements (guess/level axis), so each
 //    output's addition chain is the same at every vector width;
@@ -268,8 +271,10 @@ void block_histogram_sampled(const std::uint8_t* pts, const double* rows,
 // m3/m4 accumulators.
 template <int kTier, std::size_t kChunk, class Operands>
 SABLE_LANE_INLINE void pair_chunk_step(const double* x, double* bin,
-                            const Operands& operands, Lanes8<kTier>* m3_iij,
-                            Lanes8<kTier>* m3_ijj, Lanes8<kTier>* m4) {
+                                       const Operands& operands,
+                                       Lanes8<kTier>* m3_iij,
+                                       Lanes8<kTier>* m3_ijj,
+                                       Lanes8<kTier>* m4) {
   using L8 = Lanes8<kTier>;
   L8 di, dj;
   operands(x, std::integral_constant<std::size_t, kChunk>{}, di, dj);
@@ -328,7 +333,7 @@ inline void with_chunk_count(std::size_t n, const Fn& fn) {
 // the pass's chunk order: per level block bi, its diagonal chunks, then
 // one chunk per level of each later block (lane m pairs level m of bi
 // with that level).
-template <int kTier, class Fn>
+template <class Fn>
 void for_each_pair_lane(std::size_t width, const Fn& fn) {
   std::size_t chunk = 0;
   for (std::size_t bi = 0; bi < level_blocks(width); ++bi) {
@@ -451,8 +456,8 @@ void block_histogram_pairs(const std::uint8_t* pts, const double* rows,
     }
   }
   std::fill(bins + used * out_width, bins + kBlockPts * out_width, 0.0);
-  for_each_pair_lane<kTier>(width, [&](std::size_t c, std::size_t m,
-                                       std::size_t i, std::size_t j) {
+  for_each_pair_lane(width, [&](std::size_t c, std::size_t m, std::size_t i,
+                                std::size_t j) {
     const std::size_t q = i * width - i * (i + 1) / 2 + (j - i - 1);
     const std::size_t lane = c * kLanes + m;
     const double* chunk_acc = acc + 3 * kLanes * c;

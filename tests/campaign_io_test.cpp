@@ -34,10 +34,10 @@
 #include "engine/trace_engine.hpp"
 #include "io/campaign_state.hpp"
 #include "io/corpus.hpp"
-#include "util/error.hpp"
 #include "io/manifest.hpp"
 #include "io/replay.hpp"
 #include "io/serial.hpp"
+#include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace sable {
