@@ -9,7 +9,7 @@
 //
 // Campaigns gather from exact energy tables and run the kernel only to
 // build them, so the batched columns time the kernel directly: the loop
-// the tables are built with (RoundTargetT::simulate_instance), over the
+// the tables are built with (RoundKernelT::simulate_instance), over the
 // same 200000 inputs the scalar column simulates.
 //
 // Every timed row runs kRepeats times and reports the median with its
@@ -107,36 +107,37 @@ std::vector<std::uint8_t> scalar_inputs() {
 // One batched repeat: the kernel loop over every input on a fresh
 // simulator, kLanes per cycle, one thread.
 template <typename W>
-double kernel_tps(const RoundTargetT<W>& target,
+double kernel_tps(const RoundKernelT<W>& kernel,
                   const std::vector<std::uint8_t>& xs, double* checksum) {
   std::vector<double> energies(xs.size());
   const auto start = Clock::now();
-  target.simulate_instance(0, xs.data(), xs.size(), energies.data());
+  kernel.simulate_instance(0, xs.data(), xs.size(), energies.data());
   const double elapsed = seconds_since(start);
   for (double e : energies) *checksum += e;
   return static_cast<double>(xs.size()) / elapsed;
 }
 
-// kernel_tps() at a runtime lane width, on that width's variant of the
-// 64-lane target.
-Spread kernel_spread(const RoundTarget& target, std::size_t width,
+// kernel_tps() at a runtime lane width, on a kernel of that width over
+// the 64-lane kernel's circuits.
+Spread kernel_spread(const RoundKernel& kernel, std::size_t width,
                      const std::vector<std::uint8_t>& xs, double* checksum) {
-  const auto at = [&](const auto& variant) {
-    return repeat([&] { return kernel_tps(variant, xs, checksum); });
+  const Technology tech = Technology::generic_180nm();
+  const auto at = [&](const auto& wide) {
+    return repeat([&] { return kernel_tps(wide, xs, checksum); });
   };
   switch (width) {
     case 128:
-      return at(target.with_lane_width<Word128>());
+      return at(RoundKernelT<Word128>(kernel.round(), tech, kernel.circuits()));
 #if SABLE_HAVE_WORD256
     case 256:
-      return at(target.with_lane_width<Word256>());
+      return at(RoundKernelT<Word256>(kernel.round(), tech, kernel.circuits()));
 #endif
 #if SABLE_HAVE_WORD512
     case 512:
-      return at(target.with_lane_width<Word512>());
+      return at(RoundKernelT<Word512>(kernel.round(), tech, kernel.circuits()));
 #endif
     default:
-      return at(target);
+      return at(kernel);
   }
 }
 
@@ -156,8 +157,8 @@ GateRow measure_gate(LogicStyle style, const std::vector<std::uint8_t>& xs) {
   row.scalar_tps = repeat([&] { return scalar_tps(prototype, &checksum); });
   // The gate stays pinned to the historic 64-bit path; the lane table
   // below sweeps the wider words.
-  const RoundTarget target(present_round(1, style), tech);
-  row.batched_tps = kernel_spread(target, 64, xs, &checksum);
+  const RoundKernel kernel(present_round(1, style), tech);
+  row.batched_tps = kernel_spread(kernel, 64, xs, &checksum);
   row.speedup = row.batched_tps.median / row.scalar_tps.median;
   if (checksum == 0.0) std::fprintf(stderr, "unexpected zero checksum\n");
   return row;
@@ -180,12 +181,12 @@ std::vector<LaneRow> measure_lane_widths(
   std::vector<LaneRow> rows;
   const Technology tech = Technology::generic_180nm();
   for (LogicStyle style : kGateStyles) {
-    const RoundTarget target(present_round(1, style), tech);
+    const RoundKernel kernel(present_round(1, style), tech);
     double checksum = 0.0;
     const std::size_t first = rows.size();
     for (std::size_t width : widths) {
       rows.push_back({width, to_string(style),
-                      kernel_spread(target, width, xs, &checksum), 0.0});
+                      kernel_spread(kernel, width, xs, &checksum), 0.0});
     }
     // 64 is always a runtime width, and it is the first one.
     for (std::size_t i = first; i < rows.size(); ++i) {

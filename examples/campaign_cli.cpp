@@ -55,7 +55,6 @@ struct Cli {
   double noise = 2e-16;
   std::size_t shard_size = 0;
   std::size_t num_threads = 0;
-  std::size_t lane_width = 0;
   std::string out_path;       // record: corpus path
   std::string corpus_path;    // attack: replay source
   std::string partial_path;   // attack: partial-state output
@@ -100,8 +99,7 @@ int usage(const char* argv0) {
       "       %s merge --partials P0,P1,... [--json PATH] [campaign flags]\n"
       "       %s corpus-info --corpus PATH\n"
       "campaign flags: --style NAME --round N --attack-sbox I --traces N\n"
-      "                --seed S --noise X --shard-size Z --threads T "
-      "--lanes W\n",
+      "                --seed S --noise X --shard-size Z --threads T\n",
       argv0, argv0, argv0, argv0);
   return 2;
 }
@@ -157,7 +155,6 @@ CampaignOptions options_for(const Cli& cli, const RoundSpec& round) {
   options.seed = cli.seed;
   options.shard_size = cli.shard_size;
   options.num_threads = cli.num_threads;
-  options.lane_width = cli.lane_width;
   return options;
 }
 
@@ -290,8 +287,6 @@ int main(int argc, char** argv) {
       cli.shard_size = std::strtoull(argv[++i], nullptr, 10);
     } else if (std::strcmp(argv[i], "--threads") == 0 && has_value()) {
       cli.num_threads = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--lanes") == 0 && has_value()) {
-      cli.lane_width = std::strtoull(argv[++i], nullptr, 10);
     } else if (std::strcmp(argv[i], "--out") == 0 && has_value()) {
       cli.out_path = argv[++i];
     } else if (std::strcmp(argv[i], "--corpus") == 0 && has_value()) {

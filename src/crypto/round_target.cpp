@@ -27,9 +27,17 @@ const char* to_string(LogicStyle style) {
 
 namespace {
 
-// The bit-extraction counterpart (round_target_detail::extract_bits) lives
-// in round_target_impl.hpp where the packing templates need it; depositing
-// is only done by the non-template RoundSpec methods here.
+std::size_t extract_bits(const std::uint8_t* state, std::size_t offset,
+                         std::size_t bits) {
+  std::size_t value = 0;
+  for (std::size_t b = 0; b < bits; ++b) {
+    const std::size_t bit = offset + b;
+    value |=
+        static_cast<std::size_t>((state[bit >> 3] >> (bit & 7)) & 1u) << b;
+  }
+  return value;
+}
+
 void deposit_bits(std::uint8_t* state, std::size_t offset, std::size_t bits,
                   std::size_t value) {
   for (std::size_t b = 0; b < bits; ++b) {
@@ -79,7 +87,7 @@ std::size_t RoundSpec::bit_offset(std::size_t index) const {
 
 std::size_t RoundSpec::sub_word(const std::uint8_t* state,
                                 std::size_t index) const {
-  return round_target_detail::extract_bits(state, bit_offset(index),
+  return extract_bits(state, bit_offset(index),
                                            sboxes[index].in_bits);
 }
 
@@ -104,7 +112,7 @@ void RoundSpec::sub_words(const std::uint8_t* states, std::size_t count,
     return;
   }
   for (std::size_t t = 0; t < count; ++t) {
-    out[t] = static_cast<std::uint8_t>(round_target_detail::extract_bits(
+    out[t] = static_cast<std::uint8_t>(extract_bits(
         states + t * stride, p.offset, p.bits));
   }
 }
@@ -191,14 +199,140 @@ RoundSpec aes_subbytes_round(std::size_t num_sboxes, LogicStyle style) {
   return round;
 }
 
-// ---- RoundTargetT ---------------------------------------------------------
+// ---- RoundKernelT ---------------------------------------------------------
 //
 // The member templates live in crypto/round_target_impl.hpp; this TU
 // instantiates the portable lane words only. Word256/Word512 are
 // instantiated by the per-ISA TUs under src/simd/ so their kernels carry
 // the right target attributes in a runtime-dispatched binary.
 
-SABLE_FOR_EACH_PORTABLE_LANE_WORD(SABLE_INSTANTIATE_ROUND_TARGET)
-SABLE_FOR_EACH_PORTABLE_LANE_WORD(SABLE_INSTANTIATE_WITH_LANE_WIDTH)
+SABLE_FOR_EACH_PORTABLE_LANE_WORD(SABLE_INSTANTIATE_ROUND_KERNEL)
+
+// ---- RoundTarget ----------------------------------------------------------
+
+RoundTarget::RoundTarget(const RoundSpec& round, const Technology& tech)
+    : kernel_(std::make_shared<const RoundKernel>(round, tech)) {
+  instances_.reserve(round.num_sboxes());
+  for (std::size_t i = 0; i < round.num_sboxes(); ++i) {
+    Instance instance;
+    // Instances over one circuit simulate identically, so they share a
+    // table — except mismatched WDDL, whose per-instance seed gives every
+    // instance its own rail loads.
+    if (round.style != LogicStyle::kWddlMismatched) {
+      for (std::size_t j = 0; j < i; ++j) {
+        if (&kernel_->circuit(j) == &kernel_->circuit(i)) {
+          instance.table = instances_[j].table;
+          break;
+        }
+      }
+    }
+    if (!instance.table) {
+      instance.table = std::make_shared<SharedTable>();
+      instance.table->table = kernel_->table_shape(i);
+    }
+    instances_.push_back(std::move(instance));
+  }
+}
+
+RoundTarget RoundTarget::clone() const {
+  RoundTarget copy = *this;
+  copy.reset_state();
+  return copy;
+}
+
+void RoundTarget::reset_state() {
+  for (Instance& instance : instances_) instance.lane_slot.fill(0);
+}
+
+void RoundTarget::instance_inputs(std::size_t index, const std::uint8_t* pts,
+                                  std::size_t count, const std::uint8_t* key,
+                                  std::uint8_t* xs) const {
+  round().sub_words(pts, count, index, xs);
+  const auto subkey = static_cast<std::uint8_t>(round().sub_word(key, index));
+  for (std::size_t t = 0; t < count; ++t) xs[t] ^= subkey;
+}
+
+const EnergyTable& RoundTarget::built(std::size_t index, bool sampled) const {
+  SharedTable& shared = *instances_[index].table;
+  std::call_once(sampled ? shared.rows_built : shared.energy_built, [&] {
+    (sampled ? shared.table.rows : shared.table.energy) =
+        kernel_->tabulate(index, sampled);
+  });
+  return shared.table;
+}
+
+const EnergyTable& RoundTarget::energy_table(std::size_t index) const {
+  SABLE_REQUIRE(index < instances_.size(), "S-box index out of range");
+  built(index, false);
+  return built(index, true);
+}
+
+void RoundTarget::gather(Instance& instance, const std::uint8_t* xs,
+                         std::size_t count, const double* entries,
+                         std::size_t span, double* dst,
+                         std::size_t dst_stride) {
+  const EnergyTable& table = instance.table->table;
+  // A memoryless instance's lanes stay on slot 0.
+  const auto slot_stride =
+      static_cast<std::uint32_t>(table.history == 1 ? 0 : table.inputs);
+  for (std::size_t t = 0; t < count; ++t) {
+    std::uint32_t& slot = instance.lane_slot[t % kHistoryLanes];
+    const double* entry = entries + (slot + xs[t]) * span;
+    for (std::size_t l = 0; l < span; ++l) {
+      dst[t * dst_stride + l] += entry[l];
+    }
+    slot = (xs[t] + 1u) * slot_stride;
+  }
+}
+
+void RoundTarget::trace_batch(const std::uint8_t* pts, std::size_t count,
+                              const std::uint8_t* key, double noise_sigma,
+                              Rng& rng, double* out) {
+  const std::size_t stride = round().state_bytes();
+  std::uint8_t xs[kGatherBlock];
+  for (std::size_t base = 0; base < count; base += kGatherBlock) {
+    const std::size_t n = std::min(kGatherBlock, count - base);
+    std::fill(out + base, out + base + n, 0.0);
+    // Fixed instance order keeps the energy summation deterministic.
+    for (std::size_t i = 0; i < instances_.size(); ++i) {
+      instance_inputs(i, pts + base * stride, n, key, xs);
+      gather(instances_[i], xs, n, built(i, false).energy.data(), 1,
+             out + base, 1);
+    }
+  }
+  if (noise_sigma != 0.0) {
+    for (std::size_t i = 0; i < count; ++i) {
+      out[i] += noise_sigma * rng.gaussian();
+    }
+  }
+}
+
+void RoundTarget::trace_batch_sampled(const std::uint8_t* pts,
+                                      std::size_t count,
+                                      const std::uint8_t* key,
+                                      double noise_sigma, Rng& rng,
+                                      double* rows) {
+  const std::size_t width = num_levels();
+  SABLE_ASSERT(width > 0, "every logic style has at least one logic level");
+  const std::size_t stride = round().state_bytes();
+  std::fill(rows, rows + count * width, 0.0);
+  std::uint8_t xs[kGatherBlock];
+  for (std::size_t base = 0; base < count; base += kGatherBlock) {
+    const std::size_t n = std::min(kGatherBlock, count - base);
+    for (std::size_t i = 0; i < instances_.size(); ++i) {
+      const EnergyTable& table = built(i, true);
+      instance_inputs(i, pts + base * stride, n, key, xs);
+      // Instances with fewer logic levels finish earlier: they contribute
+      // nothing to the tail columns (time-aligned from cycle start).
+      gather(instances_[i], xs, n, table.rows.data(), table.levels,
+             rows + base * width, width);
+    }
+  }
+  if (noise_sigma != 0.0) {
+    for (std::size_t i = 0; i < count * width; ++i) {
+      rows[i] += noise_sigma * rng.gaussian();
+    }
+  }
+}
 
 }  // namespace sable

@@ -1,14 +1,13 @@
-// Definitions of the RoundTargetT<W> templates declared in
+// Definitions of the RoundKernelT<W> templates declared in
 // crypto/round_target.hpp. Included by exactly the TUs that instantiate
 // them: crypto/round_target.cpp for the portable lane words and the
 // per-ISA TUs under src/simd/ (inside their #pragma GCC target regions)
 // for Word256/Word512. Pulls in the circuit/WDDL/switch-level impl
-// headers because instantiating a round target instantiates its
+// headers because instantiating a round kernel instantiates its
 // simulators.
 #pragma once
 
 #include <algorithm>
-#include <bit>
 
 #include "cell/builder.hpp"
 #include "cell/circuit_sim_impl.hpp"
@@ -21,7 +20,7 @@
 namespace sable {
 namespace round_target_detail {
 
-// All four helpers are `static`, not `inline`: the per-ISA TUs compile
+// All three helpers are `static`, not `inline`: the per-ISA TUs compile
 // this header inside a #pragma GCC target region, and a comdat copy built
 // there could be the one the linker keeps for portable callers — internal
 // linkage keeps every TU's copy at its own ISA level.
@@ -56,48 +55,28 @@ namespace round_target_detail {
          a.table == b.table;
 }
 
-[[maybe_unused]] static std::size_t extract_bits(const std::uint8_t* state, std::size_t offset,
-                                std::size_t bits) {
-  std::size_t value = 0;
-  for (std::size_t b = 0; b < bits; ++b) {
-    const std::size_t bit = offset + b;
-    value |=
-        static_cast<std::size_t>((state[bit >> 3] >> (bit & 7)) & 1u) << b;
-  }
-  return value;
-}
-
 }  // namespace round_target_detail
 
-// ---- RoundTargetT ---------------------------------------------------------
+// ---- RoundKernelT ---------------------------------------------------------
 
 template <typename W>
-RoundTargetT<W>::RoundTargetT(RoundSpec round, Technology tech,
-                              std::vector<Instance> instances)
-    : round_(std::move(round)),
-      tech_(std::move(tech)),
-      instances_(std::move(instances)) {
+RoundKernelT<W>::RoundKernelT(RoundSpec round, std::vector<Instance> instances)
+    : round_(std::move(round)), instances_(std::move(instances)) {
   for (const Instance& instance : instances_) {
-    num_levels_ = std::max(num_levels_, instance.table->table.levels);
+    num_levels_ = std::max(num_levels_, instance.levels);
   }
 }
 
 template <typename W>
-RoundTargetT<W>::RoundTargetT(const RoundSpec& round, const Technology& tech)
-    : RoundTargetT(round, tech,
-                   std::vector<std::shared_ptr<const GateCircuit>>{}) {}
-
-template <typename W>
-RoundTargetT<W>::RoundTargetT(
+RoundKernelT<W>::RoundKernelT(
     const RoundSpec& round, const Technology& tech,
     std::vector<std::shared_ptr<const GateCircuit>> circuits)
-    : round_(round), tech_(tech) {
+    : round_(round) {
   SABLE_REQUIRE(!round.sboxes.empty(),
                 "a round needs at least one S-box instance");
   SABLE_REQUIRE(circuits.empty() || circuits.size() == round.sboxes.size(),
                 "pre-synthesized circuits must cover every S-box instance");
   instances_.reserve(round.sboxes.size());
-  std::size_t offset = 0;
   for (std::size_t i = 0; i < round.sboxes.size(); ++i) {
     const SboxSpec& spec = round.sboxes[i];
     SABLE_REQUIRE(spec.in_bits >= 1 && spec.in_bits <= 8,
@@ -105,8 +84,6 @@ RoundTargetT<W>::RoundTargetT(
     SABLE_REQUIRE(spec.table.size() == (std::size_t{1} << spec.in_bits),
                   "S-box table must cover every input");
     Instance instance;
-    instance.bit_offset = offset;
-    offset += spec.in_bits;
     if (!circuits.empty()) {
       instance.circuit = circuits[i];
     } else {
@@ -124,7 +101,6 @@ RoundTargetT<W>::RoundTargetT(
             round_target_detail::build_sbox_circuit(spec, round.style, tech));
       }
     }
-    std::size_t levels = 0;
     switch (round.style) {
       case LogicStyle::kStaticCmos: {
         // One transition's worth of switching energy for a typical cell
@@ -132,7 +108,7 @@ RoundTargetT<W>::RoundTargetT(
         const double c_sw = 5e-15;
         instance.cmos_sim = std::make_unique<CmosCircuitSimBatchT<W>>(
             *instance.circuit, c_sw * tech.vdd * tech.vdd);
-        levels = instance.cmos_sim->num_levels();
+        instance.levels = instance.cmos_sim->num_levels();
         break;
       }
       case LogicStyle::kWddlBalanced:
@@ -144,45 +120,26 @@ RoundTargetT<W>::RoundTargetT(
         instance.wddl_sim = std::make_unique<WddlCircuitSimBatchT<W>>(
             *instance.circuit, tech, mismatch,
             0x3DD1 + static_cast<std::uint64_t>(i));
-        levels = instance.wddl_sim->num_levels();
+        instance.levels = instance.wddl_sim->num_levels();
         break;
       }
       default:
         instance.diff_sim = std::make_unique<DifferentialCircuitSimBatchT<W>>(
             *instance.circuit);
-        levels = instance.diff_sim->num_levels();
+        instance.levels = instance.diff_sim->num_levels();
         break;
     }
-    // Instances over one circuit simulate identically, so they share a
-    // table — except mismatched WDDL, whose per-instance seed gives every
-    // instance its own rail loads.
-    if (round.style != LogicStyle::kWddlMismatched) {
-      for (const Instance& peer : instances_) {
-        if (peer.circuit == instance.circuit) {
-          instance.table = peer.table;
-          break;
-        }
-      }
-    }
-    if (!instance.table) {
-      instance.table = std::make_shared<SharedTable>();
-      EnergyTable& table = instance.table->table;
-      table.inputs = std::size_t{1} << spec.in_bits;
-      table.history = instance.cmos_sim ? table.inputs + 1 : 1;
-      table.levels = levels;
-    }
-    num_levels_ = std::max(num_levels_, levels);
+    num_levels_ = std::max(num_levels_, instance.levels);
     instances_.push_back(std::move(instance));
   }
 }
 
 template <typename W>
-typename RoundTargetT<W>::Instance RoundTargetT<W>::fresh_copy(
+typename RoundKernelT<W>::Instance RoundKernelT<W>::fresh_copy(
     const Instance& instance) {
   Instance copy;
   copy.circuit = instance.circuit;
-  copy.bit_offset = instance.bit_offset;
-  copy.table = instance.table;
+  copy.levels = instance.levels;
   // The sims' clone_fresh() preserves derived energy models (WDDL rail
   // mismatch) without needing the Technology back, and starts from
   // fresh-construction lane state.
@@ -200,17 +157,17 @@ typename RoundTargetT<W>::Instance RoundTargetT<W>::fresh_copy(
 }
 
 template <typename W>
-RoundTargetT<W> RoundTargetT<W>::clone() const {
+RoundKernelT<W> RoundKernelT<W>::clone() const {
   std::vector<Instance> copies;
   copies.reserve(instances_.size());
   for (const Instance& instance : instances_) {
     copies.push_back(fresh_copy(instance));
   }
-  return RoundTargetT(round_, tech_, std::move(copies));
+  return RoundKernelT(round_, std::move(copies));
 }
 
 template <typename W>
-void RoundTargetT<W>::cycle_instance(Instance& instance,
+void RoundKernelT<W>::cycle_instance(Instance& instance,
                                      const std::vector<W>& input_words,
                                      const W& lane_mask,
                                      BatchCycleResultT<W>& out) {
@@ -224,7 +181,7 @@ void RoundTargetT<W>::cycle_instance(Instance& instance,
 }
 
 template <typename W>
-void RoundTargetT<W>::cycle_instance_sampled(Instance& instance,
+void RoundKernelT<W>::cycle_instance_sampled(Instance& instance,
                                              const std::vector<W>& input_words,
                                              const W& lane_mask,
                                              SampledBatchCycleResultT<W>& out) {
@@ -238,9 +195,8 @@ void RoundTargetT<W>::cycle_instance_sampled(Instance& instance,
 }
 
 template <typename W>
-void RoundTargetT<W>::reset_state() {
+void RoundKernelT<W>::reset_state() {
   for (Instance& instance : instances_) {
-    instance.lane_slot.fill(0);
     if (instance.diff_sim) {
       instance.diff_sim->reset();
     } else if (instance.cmos_sim) {
@@ -251,47 +207,23 @@ void RoundTargetT<W>::reset_state() {
 }
 
 template <typename W>
-void RoundTargetT<W>::instance_inputs(std::size_t index,
-                                      const std::uint8_t* pts,
-                                      std::size_t count,
-                                      const std::uint8_t* key,
-                                      std::uint8_t* xs) const {
-  const std::size_t stride = round_.state_bytes();
-  const std::size_t offset = instances_[index].bit_offset;
-  const std::size_t bits = round_.sboxes[index].in_bits;
-  const std::size_t subkey =
-      round_target_detail::extract_bits(key, offset, bits);
-  // S-box inputs are at most 8 bits (validated at construction), so they
-  // fit a byte.
-  if ((offset & 7) + bits <= 8) {
-    // Hot path: the sub-word sits inside one byte (every nibble- or
-    // byte-aligned layout, which is all the built-in rounds) — a shift
-    // and a mask per state instead of the per-bit gather.
-    const std::uint8_t* bytes = pts + (offset >> 3);
-    const unsigned shift = offset & 7;
-    const std::uint8_t mask = static_cast<std::uint8_t>((1u << bits) - 1u);
-    for (std::size_t t = 0; t < count; ++t) {
-      xs[t] = static_cast<std::uint8_t>(
-          ((bytes[t * stride] >> shift) & mask) ^ subkey);
-    }
-  } else {
-    for (std::size_t t = 0; t < count; ++t) {
-      xs[t] = static_cast<std::uint8_t>(
-          round_target_detail::extract_bits(pts + t * stride, offset, bits) ^
-          subkey);
-    }
-  }
+EnergyTable RoundKernelT<W>::table_shape(std::size_t index) const {
+  SABLE_REQUIRE(index < instances_.size(), "S-box index out of range");
+  EnergyTable table;
+  table.inputs = std::size_t{1} << round_.sboxes[index].in_bits;
+  table.history = instances_[index].cmos_sim ? table.inputs + 1 : 1;
+  table.levels = instances_[index].levels;
+  return table;
 }
 
 template <typename W>
-void RoundTargetT<W>::kernel_loop(const Instance& instance,
-                                  const std::uint8_t* xs, std::size_t count,
-                                  bool sampled, double* out) const {
+void RoundKernelT<W>::kernel_loop(std::size_t index, const std::uint8_t* xs,
+                                  std::size_t count, bool sampled,
+                                  double* out) const {
   constexpr std::size_t kLanes = LaneTraits<W>::kLanes;
-  Instance sim = fresh_copy(instance);
-  const std::size_t inputs = instance.table->table.inputs;
-  const std::size_t levels = instance.table->table.levels;
-  std::vector<W> words(static_cast<std::size_t>(std::countr_zero(inputs)));
+  Instance sim = fresh_copy(instances_[index]);
+  const std::size_t levels = sim.levels;
+  std::vector<W> words(round_.sboxes[index].in_bits);
   BatchCycleResultT<W> result;
   SampledBatchCycleResultT<W> sampled_result;
   for (std::size_t base = 0; base < count; base += kLanes) {
@@ -315,9 +247,9 @@ void RoundTargetT<W>::kernel_loop(const Instance& instance,
 }
 
 template <typename W>
-std::vector<double> RoundTargetT<W>::tabulate(const Instance& instance,
+std::vector<double> RoundKernelT<W>::tabulate(std::size_t index,
                                               bool sampled) const {
-  const EnergyTable& table = instance.table->table;
+  const EnergyTable table = table_shape(index);
   const std::size_t inputs = table.inputs;
   const std::size_t span = sampled ? table.levels : 1;
   std::vector<double> entries(table.history * inputs * span);
@@ -327,7 +259,7 @@ std::vector<double> RoundTargetT<W>::tabulate(const Instance& instance,
     for (std::size_t x = 0; x < inputs; ++x) {
       xs[x] = static_cast<std::uint8_t>(x);
     }
-    kernel_loop(instance, xs.data(), inputs, sampled, entries.data());
+    kernel_loop(index, xs.data(), inputs, sampled, entries.data());
     return entries;
   }
   // Static CMOS: one fresh stream per block of 64 inputs on the logical
@@ -344,7 +276,7 @@ std::vector<double> RoundTargetT<W>::tabulate(const Instance& instance,
             step % 2 == 0 ? (first + lane) % inputs : step / 2);
       }
     }
-    kernel_loop(instance, xs.data(), xs.size(), sampled, out.data());
+    kernel_loop(index, xs.data(), xs.size(), sampled, out.data());
     const std::size_t block = std::min(kHistoryLanes, inputs - first);
     for (std::size_t slot = 0; slot < table.history; ++slot) {
       for (std::size_t lane = 0; lane < block; ++lane) {
@@ -358,62 +290,24 @@ std::vector<double> RoundTargetT<W>::tabulate(const Instance& instance,
 }
 
 template <typename W>
-const typename RoundTargetT<W>::EnergyTable& RoundTargetT<W>::built(
-    const Instance& instance, bool sampled) const {
-  SharedTable& shared = *instance.table;
-  std::call_once(sampled ? shared.rows_built : shared.energy_built, [&] {
-    (sampled ? shared.table.rows : shared.table.energy) =
-        tabulate(instance, sampled);
-  });
-  return shared.table;
-}
-
-template <typename W>
-const typename RoundTargetT<W>::EnergyTable& RoundTargetT<W>::energy_table(
-    std::size_t index) const {
-  SABLE_REQUIRE(index < instances_.size(), "S-box index out of range");
-  built(instances_[index], false);
-  return built(instances_[index], true);
-}
-
-template <typename W>
-void RoundTargetT<W>::simulate_instance(std::size_t index,
+void RoundKernelT<W>::simulate_instance(std::size_t index,
                                         const std::uint8_t* xs,
                                         std::size_t count, double* out) const {
   SABLE_REQUIRE(index < instances_.size(), "S-box index out of range");
-  kernel_loop(instances_[index], xs, count, false, out);
+  kernel_loop(index, xs, count, false, out);
 }
 
 template <typename W>
-void RoundTargetT<W>::gather(Instance& instance, const std::uint8_t* xs,
-                             std::size_t count, const double* entries,
-                             std::size_t span, double* dst,
-                             std::size_t dst_stride) {
-  const EnergyTable& table = instance.table->table;
-  // A memoryless instance's lanes stay on slot 0.
-  const auto slot_stride =
-      static_cast<std::uint32_t>(table.history == 1 ? 0 : table.inputs);
-  for (std::size_t t = 0; t < count; ++t) {
-    std::uint32_t& slot = instance.lane_slot[t % kHistoryLanes];
-    const double* entry = entries + (slot + xs[t]) * span;
-    for (std::size_t l = 0; l < span; ++l) {
-      dst[t * dst_stride + l] += entry[l];
-    }
-    slot = (xs[t] + 1u) * slot_stride;
-  }
-}
-
-template <typename W>
-void RoundTargetT<W>::pack_trace(std::size_t index, const std::uint8_t* pt,
+void RoundKernelT<W>::pack_trace(std::size_t index, const std::uint8_t* pt,
                                  const std::uint8_t* key) {
-  std::uint8_t x = 0;
-  instance_inputs(index, pt, 1, key, &x);
+  const auto x = static_cast<std::uint8_t>(round_.sub_word(pt, index) ^
+                                           round_.sub_word(key, index));
   words_.resize(round_.sboxes[index].in_bits);
   pack_lane_words(&x, 1, words_);
 }
 
 template <typename W>
-double RoundTargetT<W>::trace(const std::uint8_t* pt, const std::uint8_t* key,
+double RoundKernelT<W>::trace(const std::uint8_t* pt, const std::uint8_t* key,
                               double noise_sigma, Rng& rng) {
   const W one = lane_mask<W>(1);
   double energy = 0.0;
@@ -426,7 +320,7 @@ double RoundTargetT<W>::trace(const std::uint8_t* pt, const std::uint8_t* key,
 }
 
 template <typename W>
-void RoundTargetT<W>::trace_sampled(const std::uint8_t* pt,
+void RoundKernelT<W>::trace_sampled(const std::uint8_t* pt,
                                     const std::uint8_t* key,
                                     double noise_sigma, Rng& rng,
                                     double* row) {
@@ -447,59 +341,7 @@ void RoundTargetT<W>::trace_sampled(const std::uint8_t* pt,
 }
 
 template <typename W>
-void RoundTargetT<W>::trace_batch(const std::uint8_t* pts, std::size_t count,
-                                  const std::uint8_t* key, double noise_sigma,
-                                  Rng& rng, double* out) {
-  const std::size_t stride = round_.state_bytes();
-  std::uint8_t xs[kGatherBlock];
-  for (std::size_t base = 0; base < count; base += kGatherBlock) {
-    const std::size_t n = std::min(kGatherBlock, count - base);
-    std::fill(out + base, out + base + n, 0.0);
-    // Fixed instance order keeps the energy summation deterministic.
-    for (std::size_t i = 0; i < instances_.size(); ++i) {
-      instance_inputs(i, pts + base * stride, n, key, xs);
-      gather(instances_[i], xs, n, built(instances_[i], false).energy.data(),
-             1, out + base, 1);
-    }
-  }
-  if (noise_sigma != 0.0) {
-    for (std::size_t i = 0; i < count; ++i) {
-      out[i] += noise_sigma * rng.gaussian();
-    }
-  }
-}
-
-template <typename W>
-void RoundTargetT<W>::trace_batch_sampled(const std::uint8_t* pts,
-                                          std::size_t count,
-                                          const std::uint8_t* key,
-                                          double noise_sigma, Rng& rng,
-                                          double* rows) {
-  const std::size_t width = num_levels_;
-  SABLE_ASSERT(width > 0, "every logic style has at least one logic level");
-  const std::size_t stride = round_.state_bytes();
-  std::fill(rows, rows + count * width, 0.0);
-  std::uint8_t xs[kGatherBlock];
-  for (std::size_t base = 0; base < count; base += kGatherBlock) {
-    const std::size_t n = std::min(kGatherBlock, count - base);
-    for (std::size_t i = 0; i < instances_.size(); ++i) {
-      const EnergyTable& table = built(instances_[i], true);
-      instance_inputs(i, pts + base * stride, n, key, xs);
-      // Instances with fewer logic levels finish earlier: they contribute
-      // nothing to the tail columns (time-aligned from cycle start).
-      gather(instances_[i], xs, n, table.rows.data(), table.levels,
-             rows + base * width, width);
-    }
-  }
-  if (noise_sigma != 0.0) {
-    for (std::size_t i = 0; i < count * width; ++i) {
-      rows[i] += noise_sigma * rng.gaussian();
-    }
-  }
-}
-
-template <typename W>
-std::uint8_t RoundTargetT<W>::reference(std::size_t index,
+std::uint8_t RoundKernelT<W>::reference(std::size_t index,
                                         const std::uint8_t* pt,
                                         const std::uint8_t* key) const {
   const std::size_t x =
@@ -508,18 +350,21 @@ std::uint8_t RoundTargetT<W>::reference(std::size_t index,
 }
 
 template <typename W>
-const GateCircuit& RoundTargetT<W>::circuit(std::size_t index) const {
+const GateCircuit& RoundKernelT<W>::circuit(std::size_t index) const {
   SABLE_REQUIRE(index < instances_.size(), "S-box index out of range");
   return *instances_[index].circuit;
 }
 
-/// Instantiates the round-target kernels for lane word W.
-#define SABLE_INSTANTIATE_ROUND_TARGET(W) template class RoundTargetT<W>;
+template <typename W>
+std::vector<std::shared_ptr<const GateCircuit>> RoundKernelT<W>::circuits()
+    const {
+  std::vector<std::shared_ptr<const GateCircuit>> out;
+  out.reserve(instances_.size());
+  for (const Instance& instance : instances_) out.push_back(instance.circuit);
+  return out;
+}
 
-/// with_lane_width() is a member template: the engine derives every wider
-/// variant from its 64-lane prototype, so instantiate u64 -> W.
-#define SABLE_INSTANTIATE_WITH_LANE_WIDTH(W)               \
-  template RoundTargetT<W>                                 \
-  RoundTargetT<std::uint64_t>::with_lane_width<W>() const;
+/// Instantiates the round kernel for lane word W.
+#define SABLE_INSTANTIATE_ROUND_KERNEL(W) template class RoundKernelT<W>;
 
 }  // namespace sable

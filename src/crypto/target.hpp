@@ -1,13 +1,12 @@
-// Single-S-box DPA attack target: the N = 1 case of the width-generic
-// RoundTarget, kept as a thin adapter so byte-wide callers stay simple.
+// Single-S-box DPA attack target: the N = 1 case of the 64-lane
+// RoundKernel, kept as a thin adapter so byte-wide callers stay simple.
 //
 // The circuit computes the S-box only; the key addition happens at the
 // stimulus (x = pt XOR key), which models the standard first-order DPA
 // setting where the attacker predicts S-box output bits from plaintext and
-// key guess. Encryptions run through the underlying RoundTarget (batches
-// gather from its energy tables, trace() runs the kernel); for specs of
-// up to 8 input bits the packed one-byte round state IS the plaintext
-// byte, so the adapter forwards pointers without repacking.
+// key guess. Encryptions run on the underlying kernel's simulators; for
+// specs of up to 8 input bits the packed one-byte round state IS the
+// plaintext byte, so the adapter forwards pointers without repacking.
 #pragma once
 
 #include <cstdint>
@@ -19,48 +18,38 @@ namespace sable {
 class SboxTarget {
  public:
   SboxTarget(const SboxSpec& spec, LogicStyle style, const Technology& tech)
-      : round_(single_sbox_round(spec, style), tech) {}
+      : kernel_(single_sbox_round(spec, style), tech) {}
 
   /// Independent target over the same synthesized circuit: the (immutable)
   /// GateCircuit is shared, every piece of mutable simulator state is
-  /// fresh and private to the clone (see RoundTarget::clone()).
-  SboxTarget clone() const { return SboxTarget(round_.clone()); }
+  /// fresh and private to the clone (see RoundKernelT::clone()).
+  SboxTarget clone() const { return SboxTarget(kernel_.clone()); }
 
   /// One encryption: applies pt XOR key, returns the power sample
   /// (circuit energy plus Gaussian noise of `noise_sigma` joules).
   double trace(std::uint8_t pt, std::uint8_t key, double noise_sigma,
                Rng& rng) {
-    return round_.trace(&pt, &key, noise_sigma, rng);
-  }
-
-  /// Batched encryptions, gathered from the round target's energy table:
-  /// writes one power sample per plaintext into `out[0..count)`. Noise is drawn from `rng` in
-  /// ascending trace order, so a campaign is reproducible regardless of
-  /// the internal batch width.
-  void trace_batch(const std::uint8_t* pts, std::size_t count,
-                   std::uint8_t key, double noise_sigma, Rng& rng,
-                   double* out) {
-    round_.trace_batch(pts, count, &key, noise_sigma, rng, out);
+    return kernel_.trace(&pt, &key, noise_sigma, rng);
   }
 
   /// Restores the fresh-construction simulator state in every lane (CMOS
   /// transition history, SABL node charge), so campaigns with the same
   /// seed reproduce the same traces no matter what ran before.
-  void reset_state() { round_.reset_state(); }
+  void reset_state() { kernel_.reset_state(); }
 
   /// Reference S-box output for functional checks.
   std::uint8_t reference(std::uint8_t pt, std::uint8_t key) const {
-    return round_.reference(0, &pt, &key);
+    return kernel_.reference(0, &pt, &key);
   }
 
-  const GateCircuit& circuit() const { return round_.circuit(0); }
-  const SboxSpec& spec() const { return round_.round().sboxes.front(); }
-  LogicStyle style() const { return round_.round().style; }
+  const GateCircuit& circuit() const { return kernel_.circuit(0); }
+  const SboxSpec& spec() const { return kernel_.round().sboxes.front(); }
+  LogicStyle style() const { return kernel_.round().style; }
 
  private:
-  explicit SboxTarget(RoundTarget round) : round_(std::move(round)) {}
+  explicit SboxTarget(RoundKernel kernel) : kernel_(std::move(kernel)) {}
 
-  RoundTarget round_;
+  RoundKernel kernel_;
 };
 
 }  // namespace sable

@@ -34,8 +34,8 @@
 // in eight-lane blocks whose per-lane arithmetic is the same at every
 // tier; each output still gets one sequential chain in trace order.
 // Block boundaries are the engine's fixed shard layout, making the
-// block-factored scores bit-identical across num_threads × lane_width ×
-// dispatch tiers.
+// block-factored scores bit-identical across num_threads × dispatch
+// tiers.
 //
 // Dispatch follows the PR 7 transpose pattern: the bodies live in
 // block_stats_impl.hpp templated on a tier index (the parameter only

@@ -79,7 +79,7 @@ class CpaShardAccumulator final : public ShardAccumulator {
 
   // One add_block call per engine shard: block boundaries are the fixed
   // shard layout, so the block-factored summation order is deterministic
-  // across thread counts, lane widths and dispatch tiers.
+  // across thread counts and dispatch tiers.
   void accumulate(const ShardBlock& block) override {
     require_scalar(block);
     add_scalar(acc_, block, 0, block.count);
@@ -172,9 +172,9 @@ class SecondOrderShardAccumulator final : public ShardAccumulator {
 // runs one block-factored add_block per sub-block, splitting the shard
 // block at those checkpoints — the sub-block boundaries are a function of
 // the shard layout and the checkpoint ladder alone, so every snapshot is
-// bit-identical across threads, lane widths, dispatch tiers, resume and
-// merge. A shard no checkpoint splits (one at its end does not) is one
-// sub-block, the only case where the block's shared histogram applies.
+// bit-identical across threads, dispatch tiers, resume and merge. A
+// shard no checkpoint splits (one at its end does not) is one sub-block,
+// the only case where the block's shared histogram applies.
 //
 // The ordered left fold settles the root (canonically the first shard):
 // its own snapshots are ranked directly (no prior prefix), and acc_

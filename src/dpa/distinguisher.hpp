@@ -22,8 +22,8 @@
 // Determinism: a shard accumulator is a pure function of its shard's
 // traces, the reduction shape is a function of the shard count alone, and
 // ordered reductions run on the calling thread — so every distinguisher
-// result is bit-identical for any num_threads and lane_width, like the
-// campaigns they generalize.
+// result is bit-identical for any num_threads, like the campaigns they
+// generalize.
 //
 // Running several distinguishers in one call shares the simulation: a
 // 16-subkey attack on a 16-S-box round costs one campaign, not sixteen.
@@ -234,8 +234,8 @@ class SecondOrderCpaDistinguisher final : public Distinguisher {
 /// in-shard checkpoints and snapshot each one, and the left fold ranks
 /// every checkpoint from merge(prior shards, snapshot) in canonical order.
 /// Sub-block boundaries depend only on the shard layout and the ladder,
-/// so the MTD curve is bit-identical across threads, lane widths, tiers,
-/// resume and merge. The checkpoint ladder is canonicalized at
+/// so the MTD curve is bit-identical across threads, tiers, resume and
+/// merge. The checkpoint ladder is canonicalized at
 /// construction: sorted, unique, restricted to [2, num_traces].
 class MtdDistinguisher final : public Distinguisher {
  public:

@@ -64,7 +64,7 @@
 // (Chan/Pébay-style) combination formulas, exact up to fourth order.
 // Block boundaries are the engine's fixed shard layout and every kernel
 // fixes its summation order, so campaigns are bit-identical across
-// threads × lane widths × dispatch tiers, and the merge tree makes the
+// threads × dispatch tiers, and the merge tree makes the
 // accumulator shardable.
 //
 // State layout: the serialized fields, their meaning and the tag are

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <mutex>
 #include <utility>
 #include <vector>
 
@@ -12,25 +11,21 @@
 #include "io/campaign_state.hpp"
 #include "io/corpus.hpp"
 #include "io/replay.hpp"
-#include "util/cpu_dispatch.hpp"
 #include "util/error.hpp"
 
 namespace sable {
 
 std::size_t campaign_shard_size(const CampaignOptions& options) {
-  // Shard granularity is pinned to 64 traces — the historic lane count —
-  // for EVERY lane width, so shard boundaries (and with them the whole
-  // trace stream) never depend on the word the kernel happens to batch
-  // with. A wider word simply covers several 64-trace groups per step.
-  // The max() clamps shard sizes below one granule (in particular below
-  // the active lane width) to a whole 64-lane word instead of letting the
-  // division round them to zero shards.
+  // Shard granularity is pinned to 64 traces, the logical lanes of the
+  // table-lane history. The max() clamps shard sizes below one granule
+  // to a whole 64-lane word instead of letting the division round them
+  // to zero shards.
   constexpr std::size_t kGranule = SablGateSimBatch::kLanes;
   if (options.shard_size == 0) {
     // Autotune. shard_size is part of the stream definition, so the
     // derived size must be a pure function of the options: only
-    // num_traces and fixed constants enter — never the thread count,
-    // lane width, or anything probed from the machine. Aim for ~256
+    // num_traces and fixed constants enter — never the thread count or
+    // anything probed from the machine. Aim for ~256
     // shards (dynamic-scheduling slack for any realistic core count
     // without drowning in per-shard setup), keep campaigns up to 1024
     // traces single-shard, and cap shards at 65536 traces so per-shard
@@ -64,62 +59,13 @@ std::size_t campaign_thread_count(const CampaignOptions& options) {
   return resolve_thread_count(options.num_threads);
 }
 
-std::size_t campaign_lane_width(const CampaignOptions& options) {
-  // Resolved per campaign against the *runtime* dispatch tier: 0 picks the
-  // widest word the running CPU supports (and the active SABLE_DISPATCH
-  // cap allows), so one binary uses AVX-512 words on machines that have
-  // them and falls back cleanly elsewhere. An explicit width must be
-  // executable here and now — asking an AVX2 machine for 512 throws
-  // instead of faulting in the kernel.
-  if (options.lane_width == 0) return max_runtime_lane_width();
-  for (std::size_t width : runtime_lane_widths()) {
-    if (width == options.lane_width) return width;
-  }
-  throw InvalidArgument(
-      "CampaignOptions::lane_width must be 0 (widest available) or a width "
-      "this build and CPU support (see runtime_lane_widths())");
+std::size_t campaign_lane_width(const CampaignOptions&, LogicStyle) {
+  // Campaigns have no lane width: every trace is gathered from energy
+  // tables built by the 64-lane kernel, so this reports 64. It stays only
+  // for the campaign benchmark's engine.lane_width counter; a later
+  // benchmark change removes that counter and this function.
+  return 64;
 }
-
-std::size_t campaign_lane_width(const CampaignOptions& options,
-                                LogicStyle) {
-  // Kept for callers that resolve a campaign's width next to its style
-  // (the campaign benchmark records it per workload); no style narrows
-  // the machine's widest word, so this is the one-argument resolution.
-  return campaign_lane_width(options);
-}
-
-// ---- per-width engine state ----------------------------------------------
-
-namespace detail {
-
-// One lane width's persistent state on an engine: the width-variant of the
-// prototype target (lazily derived, shares the synthesized circuits) and
-// the pool of idle worker clones campaigns check workers out of. Keeping
-// both across campaigns means a sweep of many small campaigns (per-style
-// tables, SPICE calibration) pays synthesis once and cloning once per
-// worker — not once per campaign.
-template <typename W>
-struct LanePool {
-  std::unique_ptr<RoundTargetT<W>> variant;  // null for the 64-lane width
-  std::mutex mutex;
-  std::vector<std::unique_ptr<RoundTargetT<W>>> idle;
-};
-
-struct EnginePools {
-  LanePool<std::uint64_t> p64;
-  LanePool<Word128> p128;
-#if SABLE_HAVE_WORD256
-  LanePool<Word256> p256;
-#endif
-#if SABLE_HAVE_WORD512
-  LanePool<Word512> p512;
-#endif
-  // Parked campaign threads, shared by every width: spawned on the first
-  // multi-threaded campaign, reused (not re-created) by every later one.
-  WorkerPool workers;
-};
-
-}  // namespace detail
 
 namespace {
 
@@ -164,12 +110,10 @@ void validate_options(const RoundSpec& round,
 // kSampled. Shard s's wide plaintexts are RoundSpec::fill_random_states
 // over its counter-derived plaintext sub-stream (for a single byte-wide
 // S-box the historic one-draw-per-trace stream, bit for bit); together
-// with the per-shard noise stream and fresh simulator state this makes
+// with the per-shard noise stream and fresh table-lane state this makes
 // the result a pure function of (options, shard, kind) — the invariant
-// every determinism guarantee rests on. The lane word width only picks
-// the kernel the target's energy tables are built with.
-template <typename W>
-void simulate_shard(RoundTargetT<W>& target, const CampaignOptions& options,
+// every determinism guarantee rests on.
+void simulate_shard(RoundTarget& target, const CampaignOptions& options,
                     const ShardLayout& layout, std::size_t shard,
                     TraceDataKind kind, std::uint8_t* pts, double* data) {
   const std::size_t count = layout.count(shard);
@@ -185,41 +129,6 @@ void simulate_shard(RoundTargetT<W>& target, const CampaignOptions& options,
                                options.noise_sigma, noise_rng, data);
   }
 }
-
-// RAII lease of a worker target from the engine's persistent pool: an
-// idle clone is reused, a missing one is cloned from the prototype, and
-// either way the worker returns to the pool at scope exit — campaigns on
-// the same engine share workers instead of re-cloning. Stale lane state
-// is harmless: every shard resets the target before simulating.
-template <typename W>
-class WorkerLease {
- public:
-  WorkerLease(const RoundTargetT<W>& prototype, detail::LanePool<W>& pool)
-      : pool_(pool) {
-    {
-      std::lock_guard<std::mutex> lock(pool_.mutex);
-      if (!pool_.idle.empty()) {
-        worker_ = std::move(pool_.idle.back());
-        pool_.idle.pop_back();
-      }
-    }
-    if (!worker_) {
-      worker_ = std::make_unique<RoundTargetT<W>>(prototype.clone());
-    }
-  }
-  ~WorkerLease() {
-    std::lock_guard<std::mutex> lock(pool_.mutex);
-    pool_.idle.push_back(std::move(worker_));
-  }
-  WorkerLease(const WorkerLease&) = delete;
-  WorkerLease& operator=(const WorkerLease&) = delete;
-
-  RoundTargetT<W>& target() { return *worker_; }
-
- private:
-  detail::LanePool<W>& pool_;
-  std::unique_ptr<RoundTargetT<W>> worker_;
-};
 
 // One shard's trace storage, grown on demand and reused: a stream slot,
 // or an attack worker's buffers. `samples` and `rows` hold the scalar /
@@ -243,17 +152,13 @@ struct alignas(64) ShardBuffers {
   }
 };
 
-// An attack worker's context: its leased target, its shard buffers and
-// the shard feed's scratch — so the shard loop never allocates in steady
-// state or shares mutable state.
-template <typename W>
+// An attack worker's context: its clone of the engine's target, its
+// shard buffers and the shard feed's scratch — so the shard loop never
+// allocates in steady state or shares mutable state.
 struct WorkerCtx {
-  WorkerLease<W> lease;
+  RoundTarget target;
   ShardBuffers buffers;
   ShardFeed::Scratch feed_scratch;
-
-  WorkerCtx(const RoundTargetT<W>& prototype, detail::LanePool<W>& pool)
-      : lease(prototype, pool) {}
 };
 
 // Waves of the stream loop hold kWaveShardsPerThread shards per
@@ -274,10 +179,9 @@ constexpr std::size_t kWaveShardsPerThread = 8;
 // so a sink or worker exception propagates through it after at most one
 // wave of extra simulation, and the slots' buffers are recycled from
 // wave to wave, so steady-state streaming does not allocate.
-template <typename W>
-void stream_waves(const RoundTargetT<W>& prototype, detail::LanePool<W>& pool,
-                  WorkerPool& workers, const CampaignOptions& options,
-                  TraceDataKind kind, const TraceSink& sink) {
+void stream_waves(const RoundTarget& prototype, WorkerPool& workers,
+                  const CampaignOptions& options, TraceDataKind kind,
+                  const TraceSink& sink) {
   const ShardLayout layout = layout_for(options);
   const std::size_t stride = prototype.round().state_bytes();
   const bool scalar = kind == TraceDataKind::kScalar;
@@ -285,11 +189,11 @@ void stream_waves(const RoundTargetT<W>& prototype, detail::LanePool<W>& pool,
   const std::size_t threads =
       std::min(resolve_thread_count(options.num_threads), layout.num_shards);
   if (threads <= 1) {
-    WorkerLease<W> lease(prototype, pool);
+    RoundTarget target = prototype.clone();
     ShardBuffers slot;
     for (std::size_t s = 0; s < layout.num_shards; ++s) {
       slot.ensure(layout.count(s), stride, scalar, levels);
-      simulate_shard(lease.target(), options, layout, s, kind,
+      simulate_shard(target, options, layout, s, kind,
                      slot.pts.data(), slot.data(kind));
       sink(slot.pts.data(), slot.data(kind), layout.count(s));
     }
@@ -316,88 +220,22 @@ void stream_waves(const RoundTargetT<W>& prototype, detail::LanePool<W>& pool,
     };
     parallel_for(
         workers, threads, fill,
-        [&] { return WorkerLease<W>(prototype, pool); },
-        [&](WorkerLease<W>& lease, std::size_t i) {
+        [&] { return prototype.clone(); },
+        [&](RoundTarget& target, std::size_t i) {
           const std::size_t s = first + i;
           ShardBuffers& slot = filling[i];
           slot.ensure(layout.count(s), stride, scalar, levels);
-          simulate_shard(lease.target(), options, layout, s, kind,
+          simulate_shard(target, options, layout, s, kind,
                          slot.pts.data(), slot.data(kind));
         },
         emit_previous);
   }
 }
 
-// Lazily derives the width-W variant of the engine's 64-lane prototype
-// (shared circuits, fresh sims) and keeps it on the pool for the engine's
-// lifetime. Guarded by the pool mutex so concurrent campaigns on one
-// engine (safe before the pools existed, since they only read the const
-// prototype) cannot race the one-time init; it runs once per width per
-// engine, off the hot path.
-template <typename W>
-const RoundTargetT<W>& ensure_variant(const RoundTarget& base,
-                                      detail::LanePool<W>& pool) {
-  std::lock_guard<std::mutex> lock(pool.mutex);
-  if (!pool.variant) {
-    pool.variant = std::make_unique<RoundTargetT<W>>(
-        base.template with_lane_width<W>());
-  }
-  return *pool.variant;
-}
-
-// Resolves options.lane_width and calls fn(prototype, pool) with the
-// matching RoundTargetT<W> / LanePool<W> pair — the single dispatch point
-// between the runtime width knob and the compile-time kernel width.
-template <typename Fn>
-decltype(auto) with_lane(const RoundTarget& base, detail::EnginePools& pools,
-                         const CampaignOptions& options, Fn&& fn) {
-  switch (campaign_lane_width(options)) {
-    case 64:
-      return fn(base, pools.p64);
-    case 128:
-      return fn(ensure_variant(base, pools.p128), pools.p128);
-#if SABLE_HAVE_WORD256
-    case 256:
-      return fn(ensure_variant(base, pools.p256), pools.p256);
-#endif
-#if SABLE_HAVE_WORD512
-    case 512:
-      return fn(ensure_variant(base, pools.p512), pools.p512);
-#endif
-  }
-  SABLE_ASSERT(false, "unreachable lane width");
-}
-
-// ---- width-generic campaign bodies ----------------------------------------
-
-template <typename W>
-TraceSet run_campaign(const RoundTargetT<W>& prototype,
-                      detail::LanePool<W>& pool, WorkerPool& workers,
-                      const CampaignOptions& options) {
-  const ShardLayout layout = layout_for(options);
-  const std::size_t stride = prototype.round().state_bytes();
-  TraceSet traces;
-  traces.pt_width = stride;
-  traces.plaintexts.resize(options.num_traces * stride);
-  traces.samples.resize(options.num_traces);
-  // Shards map to disjoint slices of the canonical trace order, so workers
-  // simulate straight into the final TraceSet with no ordering hand-off.
-  parallel_for(
-      workers, options.num_threads, layout.num_shards,
-      [&] { return WorkerLease<W>(prototype, pool); },
-      [&](WorkerLease<W>& lease, std::size_t s) {
-        simulate_shard(lease.target(), options, layout, s,
-                       TraceDataKind::kScalar,
-                       traces.plaintexts.data() + layout.start(s) * stride,
-                       traces.samples.data() + layout.start(s));
-      });
-  return traces;
-}
-
 // The ONE campaign driver behind every attack: shard scheduling, worker
-// leasing, lane-width dispatch and shard reduction, written once for any
-// set of distinguishers. Per shard the worker simulates the trace data
-// each data kind needs (scalar and/or time-resolved — both streams are
+// targets and shard reduction, written once for any set of
+// distinguishers. Per shard the worker simulates the trace data each
+// data kind needs (scalar and/or time-resolved — both streams are
 // exactly what the single-kind campaigns generate, so sharing a campaign
 // never changes a result) and hands it to the shard feed, the per-shard
 // code replay runs too: ONE virtual dispatch per distinguisher per shard,
@@ -405,10 +243,8 @@ TraceSet run_campaign(const RoundTargetT<W>& prototype,
 // Unordered distinguishers reduce through the fixed-shape binary merge
 // tree (shape a function of the shard count only); ordered ones (MTD)
 // through a strict left fold in canonical shard order. Either way the
-// result is bit-identical for any num_threads / lane_width.
-template <typename W>
-bool run_distinguishers_impl(const RoundTargetT<W>& prototype,
-                             detail::LanePool<W>& pool, WorkerPool& workers,
+// result is bit-identical for any num_threads.
+bool run_distinguishers_impl(const RoundTarget& prototype, WorkerPool& workers,
                              const CampaignOptions& options,
                              const CampaignManifest& manifest,
                              std::span<Distinguisher* const> distinguishers,
@@ -438,8 +274,8 @@ bool run_distinguishers_impl(const RoundTargetT<W>& prototype,
   const auto accumulate = [&](const std::vector<std::size_t>& work) {
     parallel_for(
         workers, options.num_threads, work.size(),
-        [&] { return WorkerCtx<W>(prototype, pool); },
-        [&](WorkerCtx<W>& ctx, std::size_t k) {
+        [&] { return WorkerCtx{prototype.clone(), {}, {}}; },
+        [&](WorkerCtx& ctx, std::size_t k) {
           const std::size_t s = work[k];
           ShardBuffers& buffers = ctx.buffers;
           buffers.ensure(layout.count(s), stride, scalar,
@@ -450,12 +286,12 @@ bool run_distinguishers_impl(const RoundTargetT<W>& prototype,
           // as its single-kind campaign would, so both blocks match the
           // standalone paths bit for bit.
           if (scalar) {
-            simulate_shard(ctx.lease.target(), options, layout, s,
+            simulate_shard(ctx.target, options, layout, s,
                            TraceDataKind::kScalar, buffers.pts.data(),
                            buffers.samples.data());
           }
           if (sampled) {
-            simulate_shard(ctx.lease.target(), options, layout, s,
+            simulate_shard(ctx.target, options, layout, s,
                            TraceDataKind::kSampled, buffers.pts.data(),
                            buffers.rows.data());
           }
@@ -490,13 +326,12 @@ bool run_distinguishers_impl(const RoundTargetT<W>& prototype,
 // ---- TraceEngine ----------------------------------------------------------
 
 TraceEngine::TraceEngine(const RoundSpec& round, const Technology& tech)
-    : target_(round, tech),
-      pools_(std::make_unique<detail::EnginePools>()) {}
+    : target_(round, tech), workers_(std::make_unique<WorkerPool>()) {}
 
 TraceEngine::TraceEngine(const SboxSpec& spec, LogicStyle style,
                          const Technology& tech)
     : target_(single_sbox_round(spec, style), tech),
-      pools_(std::make_unique<detail::EnginePools>()) {}
+      workers_(std::make_unique<WorkerPool>()) {}
 
 TraceEngine::~TraceEngine() = default;
 TraceEngine::TraceEngine(TraceEngine&&) noexcept = default;
@@ -508,23 +343,10 @@ const SboxSpec& TraceEngine::spec(std::size_t sbox_index) const {
   return round().sboxes[sbox_index];
 }
 
-TraceSet TraceEngine::run(const CampaignOptions& options) {
-  validate_options(round(), options);
-  return with_lane(target_, *pools_, options,
-                   [&](const auto& prototype, auto& pool) {
-                     return run_campaign(prototype, pool, pools_->workers,
-                                         options);
-                   });
-}
-
 void TraceEngine::stream(const CampaignOptions& options,
                          const TraceSink& sink) {
   validate_options(round(), options);
-  with_lane(target_, *pools_, options,
-            [&](const auto& prototype, auto& pool) {
-              stream_waves(prototype, pool, pools_->workers, options,
-                           TraceDataKind::kScalar, sink);
-            });
+  stream_waves(target_, *workers_, options, TraceDataKind::kScalar, sink);
 }
 
 void TraceEngine::stream_sampled(const CampaignOptions& options,
@@ -532,11 +354,7 @@ void TraceEngine::stream_sampled(const CampaignOptions& options,
   validate_options(round(), options);
   SABLE_REQUIRE(target_.num_levels() > 0,
                 "time-resolved campaigns need at least one logic level");
-  with_lane(target_, *pools_, options,
-            [&](const auto& prototype, auto& pool) {
-              stream_waves(prototype, pool, pools_->workers, options,
-                           TraceDataKind::kSampled, sink);
-            });
+  stream_waves(target_, *workers_, options, TraceDataKind::kSampled, sink);
 }
 
 bool TraceEngine::run_distinguishers(
@@ -557,13 +375,8 @@ bool TraceEngine::run_distinguishers(
     }
   }
   const CampaignManifest manifest = campaign_manifest(options);
-  return with_lane(target_, *pools_, options,
-                   [&](const auto& prototype, auto& pool) {
-                     return run_distinguishers_impl(prototype, pool,
-                                                    pools_->workers, options,
-                                                    manifest, distinguishers,
-                                                    persist);
-                   });
+  return run_distinguishers_impl(target_, *workers_, options, manifest,
+                                 distinguishers, persist);
 }
 
 void TraceEngine::merge_partials(
@@ -589,7 +402,7 @@ void TraceEngine::merge_partials(
   for (const std::string& path : partial_paths) {
     load_campaign_state(path, manifest, distinguishers, states);
   }
-  reduce_and_finalize_distinguishers(distinguishers, states, pools_->workers,
+  reduce_and_finalize_distinguishers(distinguishers, states, *workers_,
                                      options.num_threads);
 }
 
@@ -632,7 +445,7 @@ bool TraceEngine::replay(const CorpusReader& corpus,
                          const CampaignPersistence& persist,
                          std::size_t num_threads) {
   return replay_distinguishers(corpus, round(), distinguishers, persist,
-                               num_threads, &pools_->workers);
+                               num_threads, workers_.get());
 }
 
 CampaignManifest TraceEngine::campaign_manifest(

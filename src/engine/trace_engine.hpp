@@ -1,24 +1,22 @@
-// TraceEngine — batched, thread-sharded trace generation with streaming
-// consumption, over width-generic round targets.
+// TraceEngine — thread-sharded trace generation with streaming
+// consumption, over round targets.
 //
 // The engine turns a RoundSpec — N S-box instances synthesized side by
-// side in one logic style — into power-trace campaigns at MTD scale. Two
-// axes of parallelism compose: within a shard, wide plaintexts are
-// simulated 64 encryptions per clock cycle through the bit-parallel
-// circuit simulators (every instance, summed power); across shards, a
-// worker pool spreads the campaign over cores. Traces are either retained
-// in a TraceSet (run) or handed block-by-block in canonical order to
-// streaming consumers (stream / stream_sampled) — and attacks skip the
-// hand-off entirely through the distinguisher pipeline
-// (run_distinguishers): every attack is a Distinguisher whose per-shard
-// accumulators ride the worker pool and reduce through a fixed-shape
-// binary merge tree (or an ordered fold for MTD), so an attack over 10^7
-// traces needs O(guesses) memory per shard, one pass, and 1/(64 * cores)
-// of the scalar simulation time. A single attack is attack(options, d)
-// for its Distinguisher d (CPA, DoM, MTD, multi-sample or second-order
-// CPA), and any number of distinguishers — e.g. a CPA per subkey of a
-// 16-S-box round — share ONE simulated campaign through
-// run_distinguishers instead of re-simulating per attack.
+// side in one logic style — into power-trace campaigns at MTD scale.
+// Within a shard, every trace is gathered from the instances' exact
+// energy tables (crypto/round_target.hpp) and summed; across shards, a
+// worker pool spreads the campaign over cores. Traces are handed
+// block-by-block in canonical order to streaming consumers (stream /
+// stream_sampled) — and attacks skip the hand-off entirely through the
+// distinguisher pipeline (run_distinguishers): every attack is a
+// Distinguisher whose per-shard accumulators ride the worker pool and
+// reduce through a fixed-shape binary merge tree (or an ordered fold for
+// MTD), so an attack over 10^7 traces needs O(guesses) memory per shard
+// and one pass. A single attack is attack(options, d) for its
+// Distinguisher d (CPA, DoM, MTD, multi-sample or second-order CPA), and
+// any number of distinguishers — e.g. a CPA per subkey of a 16-S-box
+// round — share ONE simulated campaign through run_distinguishers
+// instead of re-simulating per attack.
 //
 // Attacks select one instance via AttackSelector{sbox_index, model, bit}:
 // the accumulators consume that instance's sub-plaintexts and guess its
@@ -28,7 +26,7 @@
 // Determinism: a campaign is defined as a sequence of fixed-size shards
 // (shard_size traces, rounded to whole 64-lane words). Shard s draws its
 // plaintexts and noise from counter-derived sub-streams
-// campaign_shard_seed(seed, s, ·) and starts from fresh simulator state,
+// campaign_shard_seed(seed, s, ·) and starts from fresh table-lane state,
 // so its traces depend only on (options, s) — never on which worker ran
 // it or how many there were. The merge tree's shape depends only on the
 // shard count. Results are bit-identical for any num_threads, including
@@ -37,23 +35,17 @@
 // shard_size = 0 autotune derives the size from num_traces and fixed
 // constants alone (see campaign_shard_size), never from the machine.
 //
-// Lane widths: CampaignOptions::lane_width picks the batch word the
-// campaign's energy tables are built with — 64 (the historic kernel), 128
-// (portable pair), or 256/512 (AVX2/AVX-512 vectors); the traces
-// themselves are gathered from the tables (crypto/round_target.hpp). The default build carries
-// every kernel width side by side and probes the CPU once at runtime
-// (util/cpu_dispatch.hpp); 0 (the default) selects the widest word the
-// running machine supports, resolved per campaign and never on the
-// per-trace hot path. Shard boundaries stay 64-granular and per-lane
-// arithmetic (including the static-CMOS logical 64-lane history) is
-// width-invariant, so every width — and therefore every dispatch tier —
-// generates bit-identical campaigns; wider words only speed up the
-// one-time table build.
-// Workers are persistent: each engine keeps the per-width target
-// variants, a pool of worker clones, AND a parked thread pool
-// (engine/worker_pool.hpp) alive across campaigns, so sweeps of many
-// small campaigns pay synthesis, cloning and thread creation once — not
-// once per campaign.
+// Dispatch tiers: the table builds and the distinguishers' block-stats
+// kernels dispatch on the running CPU (util/cpu_dispatch.hpp), and every
+// tier gives bit-identical campaigns.
+//
+// Workers are cheap: each campaign hands every worker thread a clone()
+// of the engine's target (shared circuits and tables, private lane
+// history). What persists across campaigns is the engine's target, with
+// its tables built once, and a parked thread pool
+// (engine/worker_pool.hpp), so sweeps of many small campaigns pay
+// synthesis, table builds and thread creation once — not once per
+// campaign.
 #pragma once
 
 #include <cstdint>
@@ -68,7 +60,6 @@
 #include "dpa/distinguisher.hpp"
 #include "io/corpus.hpp"
 #include "io/manifest.hpp"
-#include "power/trace.hpp"
 #include "util/error.hpp"
 
 namespace sable {
@@ -100,25 +91,15 @@ struct CampaignOptions {
   /// Worker threads the campaign shards are scheduled over.
   /// 0 = hardware concurrency. Any value yields bit-identical results.
   std::size_t num_threads = 0;
-  /// Batch-lane word width the energy tables are built with: 64, 128, or a
-  /// SIMD width (256/512) the running CPU supports; see
-  /// runtime_lane_widths(). 0 = widest the machine offers, probed at
-  /// runtime. Any value yields bit-identical results.
-  std::size_t lane_width = 0;
 };
 
 /// Shard granularity of a campaign: shard_size rounded down to whole
 /// 64-lane words, CLAMPED to at least one word — a shard_size in [1, 63]
-/// (in particular one smaller than the active lane width) yields 64-trace
-/// shards rather than rounding to zero. The granule is 64 for EVERY lane
-/// width: wider words cover several 64-trace groups per step (ragged
-/// tails run under lane masks), so shard boundaries — and with them the
-/// generated trace stream — never depend on the word the kernel batches
-/// with.
+/// yields 64-trace shards rather than rounding to zero.
 ///
 /// shard_size = 0 autotunes: clamp(num_traces / 256 rounded down to a
 /// whole 64-lane word, 1024, 65536). The constants are fixed — NOT
-/// derived from the thread count, lane width, or machine — so the
+/// derived from the thread count or the machine — so the
 /// autotuned stream is exactly as reproducible as an explicit size:
 /// campaigns up to 1024 traces stay single-shard, larger ones aim for
 /// ~256 shards (comfortable dynamic-scheduling slack for any realistic
@@ -135,14 +116,10 @@ std::uint64_t campaign_shard_seed(std::uint64_t campaign_seed,
 /// Worker threads a campaign resolves to (0 = hardware concurrency).
 std::size_t campaign_thread_count(const CampaignOptions& options);
 
-/// Lane width a campaign resolves to (0 = the widest width the running
-/// CPU supports under the active dispatch tier). Throws InvalidArgument
-/// for widths this build or machine cannot execute.
-std::size_t campaign_lane_width(const CampaignOptions& options);
-
-/// Same resolution for a campaign on `style`: every style runs at the
-/// machine's widest word, so this forwards to the overload above. Kept
-/// for callers that record the width a style's campaign resolves to.
+/// 64, the lane width every campaign's energy tables are built at.
+/// Campaigns have no lane-width setting; this stays only for the
+/// campaign benchmark's engine.lane_width counter, which a later
+/// benchmark change removes together with this function.
 std::size_t campaign_lane_width(const CampaignOptions& options,
                                 LogicStyle style);
 
@@ -174,9 +151,7 @@ Accumulator merge_shard_tree(std::vector<Accumulator> shards) {
 using TraceSink =
     std::function<void(const std::uint8_t*, const double*, std::size_t)>;
 
-namespace detail {
-struct EnginePools;  // per-width target variants + persistent worker pools
-}  // namespace detail
+class WorkerPool;  // engine/worker_pool.hpp
 
 class TraceEngine {
  public:
@@ -191,12 +166,6 @@ class TraceEngine {
   ~TraceEngine();
   TraceEngine(TraceEngine&&) noexcept;
   TraceEngine& operator=(TraceEngine&&) noexcept;
-
-  /// Runs the campaign and retains every trace (for batch-style consumers
-  /// and offline re-analysis). Shards are simulated in parallel and land
-  /// directly in their canonical-order slice of the TraceSet, whose
-  /// pt_width is the round's packed state width.
-  TraceSet run(const CampaignOptions& options);
 
   /// Runs the campaign without retaining traces: each shard of at most
   /// campaign_shard_size() traces is simulated bit-parallel and handed to
@@ -225,7 +194,7 @@ class TraceEngine {
   /// Mixing scalar and time-resolved distinguishers simulates each shard
   /// once per data kind with identical per-kind streams, so every result
   /// is bit-identical to the same distinguisher run alone. Results are
-  /// bit-identical for any num_threads and lane_width.
+  /// bit-identical for any num_threads.
   ///
   /// Persistence: optionally resumes shard states from
   /// persist.resume_path, simulates only the uncovered shards of
@@ -300,9 +269,9 @@ class TraceEngine {
 
  private:
   RoundTarget target_;
-  // Hides the per-width plumbing (RoundTargetT<W> variants, persistent
-  // worker clones) from this header; see trace_engine.cpp.
-  std::unique_ptr<detail::EnginePools> pools_;
+  // Parked campaign threads: spawned on the first multi-threaded
+  // campaign, reused by every later one.
+  std::unique_ptr<WorkerPool> workers_;
 };
 
 }  // namespace sable

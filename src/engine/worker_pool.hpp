@@ -4,7 +4,7 @@
 // The sharded TraceEngine used to spawn a fresh std::thread set per
 // campaign. For MTD-scale single campaigns that cost vanishes in the
 // noise, but the engine's bread-and-butter workloads — per-style
-// throughput tables, lane-width sweeps, SPICE calibration — run MANY
+// throughput tables, per-style sweeps, SPICE calibration — run MANY
 // short campaigns back to back, and on those the per-campaign
 // create/join cycle (plus the first-touch page faults of brand-new
 // stacks) was a measurable slice of why N threads failed to beat 1.
@@ -12,7 +12,7 @@
 // the parked workers, runs party 0 on the calling thread, and blocks
 // until every party returns. Threads are grown on demand up to the
 // largest party count ever requested and live for the pool's lifetime
-// (the engine's lifetime — EnginePools owns one).
+// (the engine's lifetime — each TraceEngine owns one).
 //
 // Scheduling stays OUTSIDE the pool: parallel_for() below claims
 // indices from one atomic counter — simulated shards, replayed shards,

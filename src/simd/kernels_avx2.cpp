@@ -54,8 +54,7 @@ SABLE_INSTANTIATE_CONDUCTION(::sable::Word256)
 SABLE_INSTANTIATE_CYCLE_SIM(::sable::Word256)
 SABLE_INSTANTIATE_CIRCUIT_SIM(::sable::Word256)
 SABLE_INSTANTIATE_WDDL(::sable::Word256)
-SABLE_INSTANTIATE_ROUND_TARGET(::sable::Word256)
-SABLE_INSTANTIATE_WITH_LANE_WIDTH(::sable::Word256)
+SABLE_INSTANTIATE_ROUND_KERNEL(::sable::Word256)
 
 namespace detail {
 

@@ -42,8 +42,7 @@ SABLE_INSTANTIATE_CONDUCTION(::sable::Word512)
 SABLE_INSTANTIATE_CYCLE_SIM(::sable::Word512)
 SABLE_INSTANTIATE_CIRCUIT_SIM(::sable::Word512)
 SABLE_INSTANTIATE_WDDL(::sable::Word512)
-SABLE_INSTANTIATE_ROUND_TARGET(::sable::Word512)
-SABLE_INSTANTIATE_WITH_LANE_WIDTH(::sable::Word512)
+SABLE_INSTANTIATE_ROUND_KERNEL(::sable::Word512)
 
 namespace detail {
 

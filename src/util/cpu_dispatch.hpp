@@ -2,8 +2,8 @@
 //
 // The build compiles portable, AVX2 and AVX-512 kernel instantiations
 // into one binary (portable only where the compiler lacks GCC's multi-ISA
-// targets); this header is how the engine decides — once per campaign,
-// never on the trace hot path — which of them this machine may run:
+// targets); this header is how the kernels decide — once per call, never
+// per trace — which of them this machine may run:
 //
 //   cpu_features()   cached CPUID probe (what the CPU has)
 //   compiled_tier()  widest tier whose kernels are in this binary
@@ -15,7 +15,8 @@
 // can prove bit-identity of the same campaign across tiers on one machine.
 //
 // runtime_lane_widths() intersects the compiled widths with the active
-// tier; CampaignOptions::lane_width == 0 resolves to its maximum.
+// tier: the round kernels (crypto/round_target.hpp) a caller may run
+// here.
 #pragma once
 
 #include <cstddef>
@@ -85,8 +86,7 @@ class ScopedDispatchTierCap {
 /// active dispatch tier. Ascending; always contains 64 and 128.
 std::vector<std::size_t> runtime_lane_widths();
 
-/// Widest runnable lane width — what CampaignOptions::lane_width == 0
-/// resolves to.
+/// Widest runnable lane width.
 std::size_t max_runtime_lane_width();
 
 }  // namespace sable

@@ -472,17 +472,4 @@ constexpr std::size_t max_lane_width() {
 /// an ISA-specialized symbol can ever be linked into a portable path).
 #define SABLE_FOR_EACH_PORTABLE_LANE_WORD(X) X(std::uint64_t) X(::sable::Word128)
 
-/// Applies macro X to every compiled-in lane word type. NOT for kernel
-/// instantiations (see above) — only for width-dispatch tables that are
-/// themselves compiled portably, like the engine's per-width pools.
-#if SABLE_HAVE_WORD512
-#define SABLE_FOR_EACH_LANE_WORD(X) \
-  X(std::uint64_t) X(::sable::Word128) X(::sable::Word256) X(::sable::Word512)
-#elif SABLE_HAVE_WORD256
-#define SABLE_FOR_EACH_LANE_WORD(X) \
-  X(std::uint64_t) X(::sable::Word128) X(::sable::Word256)
-#else
-#define SABLE_FOR_EACH_LANE_WORD(X) X(std::uint64_t) X(::sable::Word128)
-#endif
-
 }  // namespace sable

@@ -1,7 +1,7 @@
 // Checkpoint/resume determinism: a campaign interrupted after K shards
 // and resumed from its checkpoint file must be bit-identical to the
-// uninterrupted run — across thread counts and batch lane widths, for
-// the scalar distinguishers AND the ordered MTD fold. This holds only
+// uninterrupted run — across thread counts, for the scalar
+// distinguishers AND the ordered MTD fold. This holds only
 // because checkpoints store RAW per-shard accumulator states: with 7
 // shards (non-power-of-2) the fixed-shape merge tree is NOT a left
 // fold, so persisting merged prefixes would silently change the
@@ -19,7 +19,6 @@
 #include "engine/trace_engine.hpp"
 #include "io/manifest.hpp"
 #include "io/serial.hpp"
-#include "util/cpu_dispatch.hpp"
 
 namespace sable {
 namespace {
@@ -70,11 +69,11 @@ AttackSet make_attacks(const TraceEngine& engine,
                        options.num_traces)};
 }
 
-TEST(CheckpointResumeTest, ResumedRunIsBitIdenticalAcrossThreadsAndLanes) {
+TEST(CheckpointResumeTest, ResumedRunIsBitIdenticalAcrossThreads) {
   const CampaignOptions base = resume_options();
 
-  // One reference, default threads/lanes: determinism says every
-  // configuration below must reproduce it exactly.
+  // One reference, default threads: determinism says every configuration
+  // below must reproduce it exactly.
   TraceEngine ref_engine(present_spec(), LogicStyle::kStaticCmos, kTech);
   AttackSet ref = make_attacks(ref_engine, base);
   Distinguisher* const ref_list[] = {&ref.cpa, &ref.dom, &ref.mtd};
@@ -82,39 +81,34 @@ TEST(CheckpointResumeTest, ResumedRunIsBitIdenticalAcrossThreadsAndLanes) {
 
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
                                     std::size_t{5}}) {
-    for (const std::size_t lanes : runtime_lane_widths()) {
-      SCOPED_TRACE("threads=" + std::to_string(threads) +
-                   " lanes=" + std::to_string(lanes));
-      CampaignOptions options = base;
-      options.num_threads = threads;
-      options.lane_width = lanes;
-      const std::string checkpoint =
-          temp_path(std::to_string(threads) + "_" + std::to_string(lanes));
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    CampaignOptions options = base;
+    options.num_threads = threads;
+    const std::string checkpoint = temp_path(std::to_string(threads));
 
-      // Interrupt after 3 of 7 shards...
-      {
-        TraceEngine engine(present_spec(), LogicStyle::kStaticCmos, kTech);
-        AttackSet set = make_attacks(engine, options);
-        Distinguisher* const list[] = {&set.cpa, &set.dom, &set.mtd};
-        CampaignPersistence persist;
-        persist.shard_end = 3;
-        persist.checkpoint_path = checkpoint;
-        EXPECT_FALSE(engine.run_distinguishers(options, list, persist));
-      }
-      // ...and resume the remainder in a fresh engine and fresh
-      // distinguishers, as a restarted process would.
+    // Interrupt after 3 of 7 shards...
+    {
       TraceEngine engine(present_spec(), LogicStyle::kStaticCmos, kTech);
       AttackSet set = make_attacks(engine, options);
       Distinguisher* const list[] = {&set.cpa, &set.dom, &set.mtd};
       CampaignPersistence persist;
-      persist.resume_path = checkpoint;
-      EXPECT_TRUE(engine.run_distinguishers(options, list, persist));
-
-      expect_same_scores(set.cpa.result().score, ref.cpa.result().score);
-      expect_same_scores(set.dom.result().score, ref.dom.result().score);
-      EXPECT_EQ(set.mtd.result().rank_history, ref.mtd.result().rank_history);
-      EXPECT_EQ(set.mtd.result().mtd, ref.mtd.result().mtd);
+      persist.shard_end = 3;
+      persist.checkpoint_path = checkpoint;
+      EXPECT_FALSE(engine.run_distinguishers(options, list, persist));
     }
+    // ...and resume the remainder in a fresh engine and fresh
+    // distinguishers, as a restarted process would.
+    TraceEngine engine(present_spec(), LogicStyle::kStaticCmos, kTech);
+    AttackSet set = make_attacks(engine, options);
+    Distinguisher* const list[] = {&set.cpa, &set.dom, &set.mtd};
+    CampaignPersistence persist;
+    persist.resume_path = checkpoint;
+    EXPECT_TRUE(engine.run_distinguishers(options, list, persist));
+
+    expect_same_scores(set.cpa.result().score, ref.cpa.result().score);
+    expect_same_scores(set.dom.result().score, ref.dom.result().score);
+    EXPECT_EQ(set.mtd.result().rank_history, ref.mtd.result().rank_history);
+    EXPECT_EQ(set.mtd.result().mtd, ref.mtd.result().mtd);
   }
 }
 

@@ -5,8 +5,8 @@
 // distinguisher must extract exactly nothing from it: CPA, DoM, every
 // MTD checkpoint, time-resolved MultiCpa and second-order CPA score
 // exactly 0.0 and rank the correct key by the index tie-break alone —
-// live and replayed from recorded scalar and sampled corpora, at every
-// lane width the machine runs.
+// live and replayed from recorded scalar and sampled corpora, under
+// every dispatch tier the machine runs.
 //
 // Before any attack, the claim is checked exhaustively on the circuit
 // itself: every instance's exact energy table (one entry per input, and
@@ -135,7 +135,7 @@ struct DistinctEntries {
   std::size_t rows = 0;
 };
 
-DistinctEntries distinct_entries(const RoundTarget::EnergyTable& table) {
+DistinctEntries distinct_entries(const EnergyTable& table) {
   std::set<std::uint64_t> energies;
   for (double e : table.energy) {
     energies.insert(std::bit_cast<std::uint64_t>(e));
@@ -158,7 +158,7 @@ TEST_P(ConstantPowerTest, EveryTableEntryIsBitwiseEqual) {
   for (const RoundSpec& round : {present_round(1, GetParam()),
                                  aes_subbytes_round(1, GetParam())}) {
     const RoundTarget target(round, kTech);
-    const RoundTarget::EnergyTable& table = target.energy_table(0);
+    const EnergyTable& table = target.energy_table(0);
     const std::string where = std::string(to_string(GetParam())) + " " +
                               std::to_string(table.inputs) + " inputs";
     ASSERT_EQ(table.energy.size(), table.history * table.inputs) << where;
@@ -178,10 +178,12 @@ TEST_P(ConstantPowerTest, EveryDistinguisherScoresExactlyZero) {
   CampaignOptions options = noiseless_options(round);
   const std::size_t levels = engine.target().num_levels();
   ASSERT_GE(levels, 2u);
-  for (const std::size_t width : runtime_lane_widths()) {
-    options.lane_width = width;
+  for (const DispatchTier tier : {DispatchTier::kPortable,
+                                  DispatchTier::kAvx2,
+                                  DispatchTier::kAvx512}) {
+    ScopedDispatchTierCap cap(tier);
     const std::string where = std::string(to_string(GetParam())) +
-                              " lanes " + std::to_string(width);
+                              " tier " + to_string(tier);
 
     // Live: scalar and time-resolved attacks share one campaign.
     AttackSet live(round, options.num_traces);
@@ -193,7 +195,7 @@ TEST_P(ConstantPowerTest, EveryDistinguisherScoresExactlyZero) {
     expect_nothing_extracted(live_sampled, where + " live");
 
     const std::string path = testing::TempDir() + "constant_power_" +
-                             std::to_string(width) + ".corpus";
+                             to_string(tier) + ".corpus";
     engine.record(options, TraceDataKind::kScalar, path);
     AttackSet replayed(round, options.num_traces);
     ASSERT_TRUE(engine.replay(CorpusReader(path), replayed.list));

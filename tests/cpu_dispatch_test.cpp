@@ -1,16 +1,15 @@
 // Runtime CPU dispatch contract (util/cpu_dispatch): tier ordering and
 // naming, the active tier as min(compiled, detected, cap), the process cap
-// with its RAII scope guard, and the runtime lane-width list campaigns
-// resolve widths against. The SABLE_DISPATCH environment variable is read
-// once at first use and feeds the same cap these tests exercise directly,
-// so it is covered by the set_dispatch_tier_cap tests (plus the CI job
-// that runs the suite under SABLE_DISPATCH=portable).
+// with its RAII scope guard, and the runtime lane-width list (the round
+// kernels a caller may run here). The SABLE_DISPATCH environment
+// variable is read once at first use and feeds the same cap these tests
+// exercise directly, so it is covered by the set_dispatch_tier_cap tests
+// (plus the CI job that runs the suite under SABLE_DISPATCH=portable).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 
-#include "engine/trace_engine.hpp"
 #include "util/cpu_dispatch.hpp"
 #include "util/lane_word.hpp"
 
@@ -135,7 +134,6 @@ TEST(CpuDispatchTest, PortableCapCollapsesRuntimeWidthsToThePortablePair) {
   EXPECT_EQ(runtime[0], 64u);
   EXPECT_EQ(runtime[1], 128u);
   EXPECT_EQ(max_runtime_lane_width(), 128u);
-  EXPECT_EQ(campaign_lane_width(CampaignOptions{}), 128u);
 }
 
 }  // namespace

@@ -35,7 +35,7 @@
 #include "engine/trace_engine.hpp"
 #include "io/corpus.hpp"
 #include "io/replay.hpp"
-#include "util/cpu_dispatch.hpp"
+#include "retained_campaign.hpp"
 #include "util/rng.hpp"
 
 namespace sable {
@@ -587,7 +587,7 @@ TEST(CampaignShardSizeTest, ClampsSmallBlocksToOneLaneWord) {
 // shard_size = 0 derives the shard size from num_traces and fixed
 // constants alone: clamp(num_traces / 256 rounded to a whole 64-lane
 // word, 1024, 65536). The autotuned size must never depend on the thread
-// count or lane width — it is part of the stream definition.
+// count — it is part of the stream definition.
 TEST(CampaignShardSizeTest, AutotunesFromTraceCountAlone) {
   CampaignOptions options;
   options.shard_size = 0;
@@ -611,15 +611,11 @@ TEST(CampaignShardSizeTest, AutotunesFromTraceCountAlone) {
     options.num_threads = threads;
     EXPECT_EQ(campaign_shard_size(options), 4096u);
   }
-  for (std::size_t width : {std::size_t{64}, std::size_t{128}}) {
-    options.lane_width = width;
-    EXPECT_EQ(campaign_shard_size(options), 4096u);
-  }
 }
 
-// A shard_size below the lane word must still run — and, because the
-// clamp lands on the same 64-trace granule for every width, produce the
-// exact stream shard_size = 64 produces, at every compiled-in width.
+// A shard_size below the 64-trace granule must still run — and, because
+// the clamp lands on that granule, produce the exact stream
+// shard_size = 64 produces.
 TEST(CampaignShardSizeTest, SubLaneWordBlockSizeRunsAndMatchesClamp) {
   const RoundSpec round = present_round(1, LogicStyle::kSablEnhanced);
   TraceEngine engine(round, kTech);
@@ -628,16 +624,12 @@ TEST(CampaignShardSizeTest, SubLaneWordBlockSizeRunsAndMatchesClamp) {
   options.key = {0x6};
   options.seed = 0xC1A4;
   options.shard_size = 64;
-  const TraceSet reference = engine.run(options);
-  for (std::size_t width : runtime_lane_widths()) {
-    options.lane_width = width;
-    options.shard_size = 3;  // smaller than every lane width
-    const TraceSet traces = engine.run(options);
-    ASSERT_EQ(traces.size(), reference.size());
-    for (std::size_t i = 0; i < reference.size(); ++i) {
-      ASSERT_EQ(traces.samples[i], reference.samples[i])
-          << "width " << width << " trace " << i;
-    }
+  const TraceSet reference = retained_campaign(engine, options);
+  options.shard_size = 3;  // smaller than one granule
+  const TraceSet traces = retained_campaign(engine, options);
+  ASSERT_EQ(traces.size(), reference.size());
+  for (std::size_t i = 0; i < reference.size(); ++i) {
+    ASSERT_EQ(traces.samples[i], reference.samples[i]) << "trace " << i;
   }
 }
 

@@ -1,5 +1,5 @@
-// Thread-count invariance of the sharded TraceEngine and correctness of
-// the mergeable streaming accumulators.
+// Thread-count and dispatch-tier invariance of the sharded TraceEngine
+// and correctness of the mergeable streaming accumulators.
 //
 // The contract under test: a campaign is a fixed sequence of shards whose
 // traces and accumulator merges depend only on the campaign options —
@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cmath>
 #include <iterator>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -21,6 +22,7 @@
 #include "dpa_reference.hpp"
 #include "engine/trace_engine.hpp"
 #include "power/stats.hpp"
+#include "retained_campaign.hpp"
 #include "util/cpu_dispatch.hpp"
 #include "util/rng.hpp"
 
@@ -32,6 +34,13 @@ const Technology kTech = Technology::generic_180nm();
 std::vector<std::size_t> thread_counts_under_test() {
   return {1, 2, 7,
           std::max<std::size_t>(1, std::thread::hardware_concurrency())};
+}
+
+// Every dispatch tier; a cap above the machine's tier runs at the
+// machine's.
+std::vector<DispatchTier> tiers_under_test() {
+  return {DispatchTier::kPortable, DispatchTier::kAvx2,
+          DispatchTier::kAvx512};
 }
 
 // Multi-shard campaign: 3000 traces over 448-trace shards = 7 shards, one
@@ -46,16 +55,16 @@ CampaignOptions sharded_options() {
   return options;
 }
 
-TEST(EngineDeterminismTest, RunIsBitIdenticalAcrossThreadCounts) {
+TEST(EngineDeterminismTest, CmosCampaignIsBitIdenticalAcrossThreadCounts) {
   TraceEngine reference_engine(present_spec(), LogicStyle::kStaticCmos,
                                kTech);
   CampaignOptions options = sharded_options();
   options.num_threads = 1;
-  const TraceSet reference = reference_engine.run(options);
+  const TraceSet reference = retained_campaign(reference_engine, options);
   for (std::size_t threads : thread_counts_under_test()) {
     TraceEngine engine(present_spec(), LogicStyle::kStaticCmos, kTech);
     options.num_threads = threads;
-    const TraceSet traces = engine.run(options);
+    const TraceSet traces = retained_campaign(engine, options);
     ASSERT_EQ(traces.size(), reference.size()) << threads;
     for (std::size_t i = 0; i < reference.size(); ++i) {
       ASSERT_EQ(traces.plaintexts[i], reference.plaintexts[i])
@@ -71,7 +80,7 @@ TEST(EngineDeterminismTest, StreamDeliversCanonicalOrderAcrossThreadCounts) {
   options.num_threads = 1;
   TraceEngine reference_engine(present_spec(), LogicStyle::kSablGenuine,
                                kTech);
-  const TraceSet reference = reference_engine.run(options);
+  const TraceSet reference = retained_campaign(reference_engine, options);
   for (std::size_t threads : thread_counts_under_test()) {
     TraceEngine engine(present_spec(), LogicStyle::kSablGenuine, kTech);
     options.num_threads = threads;
@@ -296,7 +305,7 @@ TEST(MergeTest, EngineCpaEqualsFixedShapeTreeMerge) {
   const SboxSpec spec = present_spec();
   CampaignOptions options = sharded_options();
   TraceEngine engine(spec, LogicStyle::kStaticCmos, kTech);
-  const TraceSet traces = engine.run(options);
+  const TraceSet traces = retained_campaign(engine, options);
 
   const std::size_t shard_size = campaign_shard_size(options);
   std::vector<StreamingCpa> shards;
@@ -369,14 +378,13 @@ TEST(EngineDeterminismTest, RoundCpaCampaignBitIdenticalAcrossThreadCounts) {
   }
 }
 
-// The lane-width contract at full round scale: a 16-S-box PRESENT layer
-// in the paper's enhanced style must produce bit-identical CPA scores for
-// every compiled-in lane width crossed with several worker counts — the
-// word the kernel batches with and the threads the shards land on are
-// both pure throughput knobs. One engine serves every run, so this also
-// exercises the persistent worker pool and the lazily derived per-width
-// target variants.
-TEST(EngineDeterminismTest, RoundCpaCampaignBitIdenticalAcrossLaneWidths) {
+// The dispatch-tier contract at full round scale: a 16-S-box PRESENT
+// layer in the paper's enhanced style must produce bit-identical CPA
+// scores under every dispatch tier crossed with several worker counts —
+// the tier the block-stats kernels run at and the threads the shards
+// land on are both pure throughput knobs. One engine serves every run,
+// so this also exercises the persistent worker pool.
+TEST(EngineDeterminismTest, RoundCpaCampaignBitIdenticalAcrossDispatchTiers) {
   const RoundSpec round = present_round(16, LogicStyle::kSablEnhanced);
   CampaignOptions options;
   options.num_traces = 900;
@@ -385,37 +393,36 @@ TEST(EngineDeterminismTest, RoundCpaCampaignBitIdenticalAcrossLaneWidths) {
   options.seed = 0x16A8E5;
   options.shard_size = 448;
   options.num_threads = 1;
-  options.lane_width = 64;
   const AttackSelector selector{.sbox_index = 5,
                                 .model = PowerModel::kHammingWeight};
   TraceEngine engine(round, kTech);
   const AttackResult reference = engine.attack(
       options, CpaDistinguisher(round.sboxes[selector.sbox_index], selector));
-  for (std::size_t width : runtime_lane_widths()) {
+  for (DispatchTier tier : tiers_under_test()) {
+    ScopedDispatchTierCap cap(tier);
     for (std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
-      options.lane_width = width;
       options.num_threads = threads;
       const AttackResult result = engine.attack(
           options,
           CpaDistinguisher(round.sboxes[selector.sbox_index], selector));
+      const std::string where = std::string("tier ") + to_string(tier) +
+                                " threads " + std::to_string(threads);
       ASSERT_EQ(result.score.size(), reference.score.size());
       for (std::size_t g = 0; g < reference.score.size(); ++g) {
         EXPECT_EQ(result.score[g], reference.score[g])
-            << "width " << width << " threads " << threads << " guess " << g;
+            << where << " guess " << g;
       }
-      EXPECT_EQ(result.best_guess, reference.best_guess)
-          << "width " << width << " threads " << threads;
-      EXPECT_EQ(result.margin, reference.margin)
-          << "width " << width << " threads " << threads;
+      EXPECT_EQ(result.best_guess, reference.best_guess) << where;
+      EXPECT_EQ(result.margin, reference.margin) << where;
     }
   }
 }
 
 // The new distinguisher pipeline inherits the determinism contract: a
-// second-order centered-product campaign must be bit-identical across
-// every compiled-in lane width crossed with several worker counts — the
+// second-order centered-product campaign must be bit-identical under
+// every dispatch tier crossed with several worker counts — the
 // fourth-order co-moment merges run through the same fixed-shape tree.
-TEST(EngineDeterminismTest, SecondOrderCampaignBitIdenticalAcrossThreadsAndWidths) {
+TEST(EngineDeterminismTest, SecondOrderCampaignBitIdenticalAcrossThreadsAndTiers) {
   const RoundSpec round = present_round(2, LogicStyle::kStaticCmos);
   CampaignOptions options;
   options.num_traces = 1200;
@@ -424,18 +431,17 @@ TEST(EngineDeterminismTest, SecondOrderCampaignBitIdenticalAcrossThreadsAndWidth
   options.seed = 0x20CDE;
   options.shard_size = 448;
   options.num_threads = 1;
-  options.lane_width = 64;
   const AttackSelector selector{.sbox_index = 1,
                                 .model = PowerModel::kHammingWeight};
   TraceEngine engine(round, kTech);
   const SecondOrderAttackResult reference = engine.attack(
       options,
       SecondOrderCpaDistinguisher(round.sboxes[selector.sbox_index], selector));
-  for (std::size_t width : runtime_lane_widths()) {
+  for (DispatchTier tier : tiers_under_test()) {
+    ScopedDispatchTierCap cap(tier);
     for (std::size_t threads :
          {std::size_t{1}, std::size_t{2},
           std::max<std::size_t>(1, std::thread::hardware_concurrency())}) {
-      options.lane_width = width;
       options.num_threads = threads;
       const SecondOrderAttackResult result = engine.attack(
           options, SecondOrderCpaDistinguisher(
@@ -444,7 +450,8 @@ TEST(EngineDeterminismTest, SecondOrderCampaignBitIdenticalAcrossThreadsAndWidth
                 reference.combined.score.size());
       for (std::size_t g = 0; g < reference.combined.score.size(); ++g) {
         EXPECT_EQ(result.combined.score[g], reference.combined.score[g])
-            << "width " << width << " threads " << threads << " guess " << g;
+            << "tier " << to_string(tier) << " threads " << threads
+            << " guess " << g;
       }
       EXPECT_EQ(result.combined.best_guess, reference.combined.best_guess);
       EXPECT_EQ(result.best_pair_first, reference.best_pair_first);
@@ -455,8 +462,8 @@ TEST(EngineDeterminismTest, SecondOrderCampaignBitIdenticalAcrossThreadsAndWidth
 
 // One-pass multi-selector campaigns (every subkey from one simulation)
 // carry the same guarantee: scores per subkey bit-identical across
-// num_threads × lane_width.
-TEST(EngineDeterminismTest, AllSubkeysCampaignBitIdenticalAcrossThreadsAndWidths) {
+// num_threads × dispatch tier.
+TEST(EngineDeterminismTest, AllSubkeysCampaignBitIdenticalAcrossThreadsAndTiers) {
   const RoundSpec round = present_round(4, LogicStyle::kSablGenuine);
   CampaignOptions options;
   options.num_traces = 1200;
@@ -465,7 +472,6 @@ TEST(EngineDeterminismTest, AllSubkeysCampaignBitIdenticalAcrossThreadsAndWidths
   options.seed = 0xA11CDE;
   options.shard_size = 448;
   options.num_threads = 1;
-  options.lane_width = 64;
   TraceEngine engine(round, kTech);
   // One CpaDistinguisher per instance, all sharing one campaign.
   const auto all_subkeys = [&] {
@@ -486,22 +492,23 @@ TEST(EngineDeterminismTest, AllSubkeysCampaignBitIdenticalAcrossThreadsAndWidths
   };
   const std::vector<AttackResult> reference = all_subkeys();
   ASSERT_EQ(reference.size(), 4u);
-  for (std::size_t width : runtime_lane_widths()) {
+  for (DispatchTier tier : tiers_under_test()) {
+    ScopedDispatchTierCap cap(tier);
     for (std::size_t threads :
          {std::size_t{1}, std::size_t{2},
           std::max<std::size_t>(1, std::thread::hardware_concurrency())}) {
-      options.lane_width = width;
       options.num_threads = threads;
       const std::vector<AttackResult> results = all_subkeys();
+      const std::string where = std::string("tier ") + to_string(tier) +
+                                " threads " + std::to_string(threads);
       ASSERT_EQ(results.size(), reference.size());
       for (std::size_t i = 0; i < reference.size(); ++i) {
         for (std::size_t g = 0; g < reference[i].score.size(); ++g) {
           EXPECT_EQ(results[i].score[g], reference[i].score[g])
-              << "width " << width << " threads " << threads << " sbox " << i
-              << " guess " << g;
+              << where << " sbox " << i << " guess " << g;
         }
         EXPECT_EQ(results[i].best_guess, reference[i].best_guess)
-            << "width " << width << " threads " << threads << " sbox " << i;
+            << where << " sbox " << i;
       }
     }
   }
@@ -509,7 +516,7 @@ TEST(EngineDeterminismTest, AllSubkeysCampaignBitIdenticalAcrossThreadsAndWidths
 
 // shard_size = 0 engages the autotuner. The derived shard size is a pure
 // function of num_traces (see campaign_shard_size), never of the worker
-// count, the lane width or the machine — so autotuned campaigns must
+// count or the machine — so autotuned campaigns must
 // carry the exact same bit-identity guarantee as pinned ones: same
 // traces, same CPA scores, for every thread count. 3000 traces autotune
 // to 1024-trace shards, so the merge path is genuinely multi-shard.
@@ -519,13 +526,13 @@ TEST(EngineDeterminismTest, AutotunedShardsBitIdenticalAcrossThreadCounts) {
   options.num_threads = 1;
   const AttackSelector selector{.model = PowerModel::kHammingWeight};
   TraceEngine engine(present_spec(), LogicStyle::kStaticCmos, kTech);
-  const TraceSet reference = engine.run(options);
+  const TraceSet reference = retained_campaign(engine, options);
   const AttackResult cpa_reference =
       engine.attack(options, CpaDistinguisher(present_spec(), selector));
   EXPECT_EQ(cpa_reference.best_guess, options.key[0]);
   for (std::size_t threads : thread_counts_under_test()) {
     options.num_threads = threads;
-    const TraceSet traces = engine.run(options);
+    const TraceSet traces = retained_campaign(engine, options);
     ASSERT_EQ(traces.size(), reference.size()) << threads;
     for (std::size_t i = 0; i < reference.size(); ++i) {
       ASSERT_EQ(traces.plaintexts[i], reference.plaintexts[i])
@@ -548,55 +555,47 @@ TEST(EngineDeterminismTest, AutotunedShardsBitIdenticalAcrossThreadCounts) {
 // The runtime-dispatch contract: the SAME campaign through the SAME
 // engine must stream bit-identical traces and CPA scores whichever kernel
 // tier dispatch lands on — portable, AVX2 or the widest the machine has —
-// crossed with the lane widths each tier offers and several worker
-// counts. ScopedDispatchTierCap forces the lower tiers on one machine;
-// lane_width = 0 additionally pins that "widest" resolves per tier.
+// crossed with several worker counts. ScopedDispatchTierCap forces the
+// lower tiers on one machine.
 TEST(EngineDeterminismTest, CampaignsBitIdenticalAcrossDispatchTiers) {
   TraceEngine engine(present_spec(), LogicStyle::kStaticCmos, kTech);
   CampaignOptions options = sharded_options();
   options.num_threads = 1;
-  options.lane_width = 64;
-  const TraceSet reference = engine.run(options);
+  const TraceSet reference = retained_campaign(engine, options);
   const AttackSelector selector{.model = PowerModel::kHammingWeight};
   const AttackResult cpa_reference =
       engine.attack(options, CpaDistinguisher(present_spec(), selector));
-  for (DispatchTier tier : {DispatchTier::kPortable, DispatchTier::kAvx2,
-                            DispatchTier::kAvx512}) {
+  for (DispatchTier tier : tiers_under_test()) {
     ScopedDispatchTierCap cap(tier);
-    std::vector<std::size_t> widths = runtime_lane_widths();
-    widths.push_back(0);  // widest-at-runtime under this tier
-    for (std::size_t width : widths) {
-      for (std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
-        options.lane_width = width;
-        options.num_threads = threads;
-        const TraceSet traces = engine.run(options);
-        ASSERT_EQ(traces.size(), reference.size());
-        for (std::size_t i = 0; i < reference.size(); ++i) {
-          ASSERT_EQ(traces.samples[i], reference.samples[i])
-              << "tier " << to_string(tier) << " width " << width
-              << " threads " << threads << " trace " << i;
-        }
-        const AttackResult cpa =
-            engine.attack(options, CpaDistinguisher(present_spec(), selector));
-        ASSERT_EQ(cpa.score.size(), cpa_reference.score.size());
-        for (std::size_t g = 0; g < cpa_reference.score.size(); ++g) {
-          EXPECT_EQ(cpa.score[g], cpa_reference.score[g])
-              << "tier " << to_string(tier) << " width " << width
-              << " threads " << threads << " guess " << g;
-        }
-        EXPECT_EQ(cpa.best_guess, cpa_reference.best_guess);
-        EXPECT_EQ(cpa.margin, cpa_reference.margin);
+    for (std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
+      options.num_threads = threads;
+      const TraceSet traces = retained_campaign(engine, options);
+      ASSERT_EQ(traces.size(), reference.size());
+      for (std::size_t i = 0; i < reference.size(); ++i) {
+        ASSERT_EQ(traces.samples[i], reference.samples[i])
+            << "tier " << to_string(tier) << " threads " << threads
+            << " trace " << i;
       }
+      const AttackResult cpa =
+          engine.attack(options, CpaDistinguisher(present_spec(), selector));
+      ASSERT_EQ(cpa.score.size(), cpa_reference.score.size());
+      for (std::size_t g = 0; g < cpa_reference.score.size(); ++g) {
+        EXPECT_EQ(cpa.score[g], cpa_reference.score[g])
+            << "tier " << to_string(tier) << " threads " << threads
+            << " guess " << g;
+      }
+      EXPECT_EQ(cpa.best_guess, cpa_reference.best_guess);
+      EXPECT_EQ(cpa.margin, cpa_reference.margin);
     }
   }
 }
 
-// RoundTarget::clone() must be state-free: after disturbing the original,
-// a clone's traces equal a freshly constructed target's, bit for bit.
-TEST(CloneTest, ClonedRoundTargetMatchesFreshTarget) {
+// RoundKernel::clone() must be state-free: after disturbing the original,
+// a clone's traces equal a freshly constructed kernel's, bit for bit.
+TEST(CloneTest, ClonedRoundKernelMatchesFreshKernel) {
   const RoundSpec round = present_round(3, LogicStyle::kStaticCmos);
   const std::vector<std::uint8_t> key = round.pack_subkeys({0x2, 0xB, 0x5});
-  RoundTarget original(round, kTech);
+  RoundKernel original(round, kTech);
   Rng warmup(0x77);
   std::vector<std::uint8_t> state(round.state_bytes(), 0);
   for (int i = 0; i < 10; ++i) {
@@ -605,8 +604,8 @@ TEST(CloneTest, ClonedRoundTargetMatchesFreshTarget) {
     }
     original.trace(state.data(), key.data(), 0.0, warmup);
   }
-  RoundTarget cloned = original.clone();
-  RoundTarget fresh(round, kTech);
+  RoundKernel cloned = original.clone();
+  RoundKernel fresh(round, kTech);
   Rng rng_a(0x88);
   Rng rng_b(0x88);
   Rng pts(0x99);
@@ -618,6 +617,31 @@ TEST(CloneTest, ClonedRoundTargetMatchesFreshTarget) {
               fresh.trace(state.data(), key.data(), 1e-16, rng_b))
         << i;
   }
+}
+
+// RoundTarget::clone() starts every logical lane fresh: after the
+// original's table-lane history is disturbed, a clone's batch equals a
+// fresh target's.
+TEST(CloneTest, ClonedRoundTargetMatchesFreshTarget) {
+  const RoundSpec round = present_round(3, LogicStyle::kStaticCmos);
+  const std::vector<std::uint8_t> key = round.pack_subkeys({0x2, 0xB, 0x5});
+  const std::size_t count = 200;
+  std::vector<std::uint8_t> pts(count * round.state_bytes());
+  Rng pt_rng(0x99);
+  round.fill_random_states(pt_rng, count, pts.data());
+  RoundTarget original(round, kTech);
+  Rng no_noise(0);
+  std::vector<double> warm(count);
+  original.trace_batch(pts.data(), count, key.data(), 0.0, no_noise,
+                       warm.data());
+  RoundTarget cloned = original.clone();
+  RoundTarget fresh(round, kTech);
+  std::vector<double> a(count);
+  std::vector<double> b(count);
+  cloned.trace_batch(pts.data(), count, key.data(), 0.0, no_noise, a.data());
+  fresh.trace_batch(pts.data(), count, key.data(), 0.0, no_noise, b.data());
+  EXPECT_EQ(a, b);
+  EXPECT_EQ(a, warm);
 }
 
 // clone() must produce a target whose traces match a freshly constructed

@@ -1,12 +1,12 @@
 // The kernel reference for the table-gathered batch path.
 //
-// RoundTargetT::trace_batch / trace_batch_sampled gather from exact
+// RoundTarget::trace_batch / trace_batch_sampled gather from exact
 // energy tables, with the trace at position k of a call on logical lane
-// k % 64. The reference keeps one width-1 kernel target per logical lane
-// and feeds it that lane's traces through trace() / trace_sampled(), so
+// k % 64. The reference keeps one round kernel per logical lane and feeds
+// it that lane's traces through the width-1 trace() / trace_sampled(), so
 // each lane carries its own history across calls exactly as the batch
-// path must. Scalar and time-resolved references keep separate targets:
-// both advance the kernel state.
+// path must. Scalar and time-resolved references keep separate kernels:
+// both advance the simulator state.
 #pragma once
 
 #include <cstddef>
@@ -22,7 +22,7 @@ class LaneReference {
  public:
   static constexpr std::size_t kLogicalLanes = 64;
 
-  explicit LaneReference(const RoundTarget& prototype) {
+  explicit LaneReference(const RoundKernel& prototype) {
     for (std::size_t lane = 0; lane < kLogicalLanes; ++lane) {
       scalar_.push_back(prototype.clone());
       sampled_.push_back(prototype.clone());
@@ -57,8 +57,8 @@ class LaneReference {
   }
 
  private:
-  std::vector<RoundTarget> scalar_;
-  std::vector<RoundTarget> sampled_;
+  std::vector<RoundKernel> scalar_;
+  std::vector<RoundKernel> sampled_;
 };
 
 /// The rounds the table tests sweep: one and sixteen PRESENT S-boxes, a

@@ -1,30 +1,23 @@
 // Lane-width equivalence suite: the batch kernels are generic over the
 // lane word (64-bit, portable 128-bit pair, AVX2/AVX-512 vectors when
-// compiled in), and the contract is that the word width is a pure
-// throughput knob — campaigns generate BIT-IDENTICAL traces and attack
-// statistics at every supported width, including ragged tail batches and
-// the static-CMOS logical 64-lane history. Also covers the central
-// lane_mask() helper (including its abort on out-of-range counts), the
-// engine's persistent cross-campaign worker pool, and the energy tables:
-// built at every width by that width's kernel, they must be bitwise equal
-// to the 64-lane tables, and gathering from them must match the per-lane
-// kernel reference.
+// compiled in), and the contract is that the word is a pure throughput
+// knob. Campaigns gather from energy tables built by the 64-lane kernel,
+// so the wide words run in round kernels only: at every runtime width, a
+// RoundKernelT<W> must tabulate every instance bitwise equal to the
+// campaign target's table, and its kernel loop must match the 64-lane
+// loop across ragged tails and the static-CMOS logical 64-lane history.
+// Also covers the lane word primitives and the central lane_mask() helper
+// (including its abort on out-of-range counts).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "crypto/round_target.hpp"
-#include "crypto/target.hpp"
-#include "dpa/attack.hpp"
-#include "dpa/mtd.hpp"
-#include "engine/trace_engine.hpp"
 #include "lane_reference.hpp"
-#include "power/trace.hpp"
 #include "util/cpu_dispatch.hpp"
 #include "util/lane_word.hpp"
 #include "util/rng.hpp"
@@ -74,8 +67,8 @@ TYPED_TEST_SUITE(LaneWordTest, LaneWordTypes);
 // points — passing or returning a wide word by value across the
 // portable/ISA boundary is the one thing the multi-ISA build must never do
 // (see util/lane_word.hpp). The intrinsic bitwise operators are exercised
-// end to end by the width-equivalence campaigns below: a broken AND/OR/XOR
-// cannot produce traces bit-identical to the 64-lane reference.
+// end to end by the kernel checks below: a broken AND/OR/XOR cannot
+// produce tables bit-identical to the 64-lane kernel's.
 TYPED_TEST(LaneWordTest, ChunkRoundTripAndLaneHelpers) {
   using W = TypeParam;
   using T = LaneTraits<W>;
@@ -167,402 +160,81 @@ TEST(LaneMaskDeathTest, AbortsOnOutOfRangeCounts) {
   EXPECT_DEATH(lane_mask<Word128>(129), "lane_mask");
 }
 
-// ---- target-level width equivalence ---------------------------------------
+// ---- round kernels at every width -----------------------------------------
 
-// Runs `count` traces through a width-W variant of `base` and returns the
-// samples. Noise exercised through a deterministic Rng so widths must also
-// consume the stream identically.
+// The checks one round kernel of width W must pass against the campaign
+// target `target` (whose tables the 64-lane kernel builds): every
+// instance's table shape and entries, scalar and time-resolved, bitwise
+// equal; and the kernel loop over `xs` equal to the 64-lane loop's.
 template <typename W>
-std::vector<double> trace_with_width(const RoundTarget& base,
-                                     const std::vector<std::uint8_t>& pts,
-                                     std::size_t count,
-                                     const std::vector<std::uint8_t>& key) {
-  RoundTargetT<W> target = base.with_lane_width<W>();
-  Rng noise(0xD1CE);
-  std::vector<double> out(count);
-  target.trace_batch(pts.data(), count, key.data(), 1e-16, noise, out.data());
-  return out;
+void expect_kernel_matches(const RoundTarget& target,
+                           const std::vector<std::uint8_t>& xs,
+                           const std::string& where) {
+  const RoundKernelT<W> kernel(target.round(), kTech,
+                               target.kernel().circuits());
+  ASSERT_EQ(kernel.num_levels(), target.num_levels()) << where;
+  for (std::size_t i = 0; i < target.round().num_sboxes(); ++i) {
+    const EnergyTable& table = target.energy_table(i);
+    const EnergyTable shape = kernel.table_shape(i);
+    EXPECT_EQ(shape.inputs, table.inputs) << where;
+    EXPECT_EQ(shape.history, table.history) << where;
+    EXPECT_EQ(shape.levels, table.levels) << where;
+    EXPECT_EQ(kernel.tabulate(i, false), table.energy)
+        << where << " instance " << i;
+    EXPECT_EQ(kernel.tabulate(i, true), table.rows)
+        << where << " instance " << i;
+  }
+  // Inputs masked to instance 0's width: the loop takes keyed sub-words.
+  const std::size_t mask =
+      (std::size_t{1} << target.round().sboxes[0].in_bits) - 1;
+  std::vector<std::uint8_t> inputs(xs.size());
+  for (std::size_t k = 0; k < xs.size(); ++k) {
+    inputs[k] = static_cast<std::uint8_t>(xs[k] & mask);
+  }
+  std::vector<double> expected(inputs.size());
+  std::vector<double> got(inputs.size());
+  target.kernel().simulate_instance(0, inputs.data(), inputs.size(),
+                                    expected.data());
+  kernel.simulate_instance(0, inputs.data(), inputs.size(), got.data());
+  EXPECT_EQ(got, expected) << where << " kernel loop";
 }
 
-TEST(LaneWidthTest, TraceBatchBitIdenticalAcrossWidthsAndRaggedTails) {
-  // 777 leaves a partial tail batch at every width (777 = 12*64 + 9),
-  // and N = 1 vs N = 3 covers a one-byte state and a multi-instance
-  // state.
-  const std::size_t count = 777;
-  for (LogicStyle style : all_styles()) {
-    for (std::size_t n : {std::size_t{1}, std::size_t{3}}) {
-      const RoundSpec round = present_round(n, style);
-      RoundTarget base(round, kTech);
-      std::vector<std::uint8_t> pts(count * round.state_bytes());
-      Rng pt_rng(0x7A11);
-      round.fill_random_states(pt_rng, count, pts.data());
-      std::vector<std::uint8_t> key(round.state_bytes(), 0x6B);
-
-      const std::vector<double> reference =
-          trace_with_width<std::uint64_t>(base, pts, count, key);
-      const std::vector<double> w128 =
-          trace_with_width<Word128>(base, pts, count, key);
-      for (std::size_t t = 0; t < count; ++t) {
-        ASSERT_EQ(w128[t], reference[t])
-            << to_string(style) << " n " << n << " trace " << t << " (128)";
-      }
-#if SABLE_HAVE_WORD256
-      if (cpu_can_run<Word256>()) {
-        const std::vector<double> w256 =
-            trace_with_width<Word256>(base, pts, count, key);
-        for (std::size_t t = 0; t < count; ++t) {
-          ASSERT_EQ(w256[t], reference[t])
-              << to_string(style) << " n " << n << " trace " << t << " (256)";
-        }
-      }
-#endif
-#if SABLE_HAVE_WORD512
-      if (cpu_can_run<Word512>()) {
-        const std::vector<double> w512 =
-            trace_with_width<Word512>(base, pts, count, key);
-        for (std::size_t t = 0; t < count; ++t) {
-          ASSERT_EQ(w512[t], reference[t])
-              << to_string(style) << " n " << n << " trace " << t << " (512)";
-        }
-      }
-#endif
-    }
-  }
-}
-
-// ---- energy tables across widths ------------------------------------------
-
-// One batch call's scalar samples and time-resolved rows.
-struct BatchOutput {
-  std::vector<double> samples;
-  std::vector<double> rows;
-};
-
-// Builds every instance table of `base`'s width-W variant, requires it
-// bitwise equal to the 64-lane table, then runs `calls` through the
-// variant's trace_batch and trace_batch_sampled without a reset between
-// them. The tables are the only place the wide kernels still run per
-// input, so this is their coverage.
-template <typename W>
-std::vector<BatchOutput> tables_and_batches(
-    const RoundTarget& base,
-    const std::vector<std::vector<std::uint8_t>>& calls, std::size_t count,
-    const std::vector<std::uint8_t>& key, const std::string& where) {
-  RoundTargetT<W> target = base.with_lane_width<W>();
-  // Both batch paths advance the lane history, so each gets a target.
-  RoundTargetT<W> target_sampled = target.clone();
-  for (std::size_t i = 0; i < base.round().num_sboxes(); ++i) {
-    const auto& reference = base.energy_table(i);
-    const auto& table = target.energy_table(i);
-    EXPECT_EQ(table.inputs, reference.inputs) << where;
-    EXPECT_EQ(table.history, reference.history) << where;
-    EXPECT_EQ(table.levels, reference.levels) << where;
-    EXPECT_EQ(table.energy, reference.energy) << where << " instance " << i;
-    EXPECT_EQ(table.rows, reference.rows) << where << " instance " << i;
-  }
-  std::vector<BatchOutput> outputs;
-  Rng no_noise(0);
-  for (const std::vector<std::uint8_t>& pts : calls) {
-    BatchOutput out{std::vector<double>(count),
-                    std::vector<double>(count * target.num_levels())};
-    target.trace_batch(pts.data(), count, key.data(), 0.0, no_noise,
-                       out.samples.data());
-    target_sampled.trace_batch_sampled(pts.data(), count, key.data(), 0.0,
-                                       no_noise, out.rows.data());
-    outputs.push_back(std::move(out));
-  }
-  return outputs;
-}
-
-TEST(LaneWidthTest, TablesAndGatherMatchTheKernelAtEveryWidth) {
-  // Two ragged calls (131 = 2*64 + 3) without a reset, so CMOS history
-  // crosses the call boundary and the tail at every width.
-  const std::size_t count = 131;
+TEST(LaneWidthTest, KernelsMatchTheCampaignTablesAtEveryWidth) {
+  // 777 inputs leave a partial tail word at every width (777 = 12*64 + 9)
+  // and carry static-CMOS history across words.
+  std::vector<std::uint8_t> xs(777);
+  Rng rng(0x7A11);
+  for (std::uint8_t& x : xs) x = static_cast<std::uint8_t>(rng.below(256));
   for (LogicStyle style : all_styles()) {
     for (const RoundSpec& round : table_test_rounds(style)) {
-      RoundTarget base(round, kTech);
-      const std::vector<std::uint8_t> key(round.state_bytes(), 0x3C);
-      std::vector<std::vector<std::uint8_t>> calls(2);
-      Rng pt_rng(0x7AB1E5);
-      LaneReference lanes(base);
-      std::vector<BatchOutput> expected;
-      for (std::vector<std::uint8_t>& pts : calls) {
-        pts.resize(count * round.state_bytes());
-        round.fill_random_states(pt_rng, count, pts.data());
-        expected.push_back({lanes.scalar(pts.data(), count, key.data()),
-                            lanes.sampled(pts.data(), count, key.data())});
-      }
+      const RoundTarget target(round, kTech);
       for (std::size_t width : runtime_lane_widths()) {
         const std::string where = std::string(to_string(style)) + " n " +
                                   std::to_string(round.num_sboxes()) +
                                   " bits " +
                                   std::to_string(round.state_bits()) +
                                   " width " + std::to_string(width);
-        std::vector<BatchOutput> got;
         switch (width) {
           case 64:
-            got = tables_and_batches<std::uint64_t>(base, calls, count, key,
-                                                    where);
+            expect_kernel_matches<std::uint64_t>(target, xs, where);
             break;
           case 128:
-            got = tables_and_batches<Word128>(base, calls, count, key, where);
+            expect_kernel_matches<Word128>(target, xs, where);
             break;
 #if SABLE_HAVE_WORD256
           case 256:
-            got = tables_and_batches<Word256>(base, calls, count, key, where);
+            expect_kernel_matches<Word256>(target, xs, where);
             break;
 #endif
 #if SABLE_HAVE_WORD512
           case 512:
-            got = tables_and_batches<Word512>(base, calls, count, key, where);
+            expect_kernel_matches<Word512>(target, xs, where);
             break;
 #endif
           default:
             FAIL() << "unexpected runtime lane width " << width;
         }
-        ASSERT_EQ(got.size(), expected.size()) << where;
-        for (std::size_t c = 0; c < got.size(); ++c) {
-          EXPECT_EQ(got[c].samples, expected[c].samples)
-              << where << " call " << c;
-          EXPECT_EQ(got[c].rows, expected[c].rows) << where << " call " << c;
-        }
       }
-    }
-  }
-}
-
-// ---- engine-level width equivalence ---------------------------------------
-
-CampaignOptions sharded_options() {
-  CampaignOptions options;
-  options.num_traces = 1500;
-  options.key = {0xB};
-  options.noise_sigma = 2e-16;
-  options.seed = 0x5EED;
-  options.shard_size = 448;  // several shards, one partial tail
-  return options;
-}
-
-TEST(LaneWidthTest, RunCampaignBitIdenticalAcrossLaneWidths) {
-  for (LogicStyle style : all_styles()) {
-    TraceEngine engine(present_spec(), style, kTech);
-    CampaignOptions options = sharded_options();
-    options.lane_width = 64;
-    const TraceSet reference = engine.run(options);
-    for (std::size_t width : runtime_lane_widths()) {
-      options.lane_width = width;
-      const TraceSet traces = engine.run(options);
-      ASSERT_EQ(traces.size(), reference.size());
-      for (std::size_t t = 0; t < reference.size(); ++t) {
-        ASSERT_EQ(traces.plaintexts[t], reference.plaintexts[t])
-            << to_string(style) << " width " << width << " trace " << t;
-        ASSERT_EQ(traces.samples[t], reference.samples[t])
-            << to_string(style) << " width " << width << " trace " << t;
-      }
-    }
-  }
-}
-
-TEST(LaneWidthTest, AttackCampaignsBitIdenticalAcrossLaneWidths) {
-  const AttackSelector cpa_sel{.model = PowerModel::kHammingWeight};
-  for (LogicStyle style :
-       {LogicStyle::kStaticCmos, LogicStyle::kSablEnhanced,
-        LogicStyle::kWddlMismatched}) {
-    TraceEngine engine(present_spec(), style, kTech);
-    CampaignOptions options = sharded_options();
-    options.lane_width = 64;
-    const AttackResult cpa_ref =
-        engine.attack(options, CpaDistinguisher(engine.spec(), cpa_sel));
-    const AttackSelector dom_sel{.bit = 0};
-    const AttackResult dom_ref =
-        engine.attack(options, DomDistinguisher(engine.spec(), dom_sel));
-    const auto checkpoints = default_checkpoints(options.num_traces);
-    const auto make_mtd = [&] {
-      return MtdDistinguisher(engine.spec(), cpa_sel,
-                              engine.round().sub_word(options.key.data(), 0),
-                              checkpoints, options.num_traces);
-    };
-    const MtdResult mtd_ref = engine.attack(options, make_mtd());
-    for (std::size_t width : runtime_lane_widths()) {
-      options.lane_width = width;
-      const AttackResult cpa =
-          engine.attack(options, CpaDistinguisher(engine.spec(), cpa_sel));
-      ASSERT_EQ(cpa.score.size(), cpa_ref.score.size());
-      for (std::size_t g = 0; g < cpa_ref.score.size(); ++g) {
-        // EXPECT_EQ on doubles is exact: bit-identical, not just <= 1e-12.
-        EXPECT_EQ(cpa.score[g], cpa_ref.score[g])
-            << to_string(style) << " width " << width << " guess " << g;
-      }
-      EXPECT_EQ(cpa.best_guess, cpa_ref.best_guess);
-      EXPECT_EQ(cpa.margin, cpa_ref.margin);
-      const AttackResult dom =
-          engine.attack(options, DomDistinguisher(engine.spec(), dom_sel));
-      for (std::size_t g = 0; g < dom_ref.score.size(); ++g) {
-        EXPECT_EQ(dom.score[g], dom_ref.score[g])
-            << to_string(style) << " width " << width << " guess " << g;
-      }
-      const MtdResult mtd = engine.attack(options, make_mtd());
-      EXPECT_EQ(mtd.disclosed, mtd_ref.disclosed);
-      EXPECT_EQ(mtd.mtd, mtd_ref.mtd);
-      ASSERT_EQ(mtd.rank_history.size(), mtd_ref.rank_history.size());
-      for (std::size_t i = 0; i < mtd_ref.rank_history.size(); ++i) {
-        EXPECT_EQ(mtd.rank_history[i], mtd_ref.rank_history[i])
-            << to_string(style) << " width " << width << " checkpoint " << i;
-      }
-    }
-  }
-}
-
-TEST(LaneWidthTest, MultiCpaCampaignBitIdenticalAcrossLaneWidthsAllStyles) {
-  // Time-resolved campaigns now cover the baseline and WDDL styles too
-  // (cycle_sampled on every batch sim), at every lane width.
-  const AttackSelector selector{.model = PowerModel::kHammingWeight};
-  for (LogicStyle style :
-       {LogicStyle::kSablGenuine, LogicStyle::kStaticCmos,
-        LogicStyle::kWddlMismatched}) {
-    TraceEngine engine(present_spec(), style, kTech);
-    ASSERT_GT(engine.target().num_levels(), 0u) << to_string(style);
-    CampaignOptions options = sharded_options();
-    options.lane_width = 64;
-    const MultiAttackResult reference =
-        engine.attack(options, MultiCpaDistinguisher(
-                                   engine.spec(), selector,
-                                   engine.target().num_levels()));
-    for (std::size_t width : runtime_lane_widths()) {
-      options.lane_width = width;
-      const MultiAttackResult result =
-          engine.attack(options, MultiCpaDistinguisher(
-                                     engine.spec(), selector,
-                                     engine.target().num_levels()));
-      ASSERT_EQ(result.combined.score.size(),
-                reference.combined.score.size());
-      for (std::size_t g = 0; g < reference.combined.score.size(); ++g) {
-        EXPECT_EQ(result.combined.score[g], reference.combined.score[g])
-            << to_string(style) << " width " << width << " guess " << g;
-      }
-      EXPECT_EQ(result.best_sample, reference.best_sample);
-      EXPECT_EQ(result.combined.best_guess, reference.combined.best_guess);
-    }
-  }
-}
-
-TEST(LaneWidthTest, SingleShardSmallerThanWideWordsIsHandled) {
-  // 65 traces in one shard: every width wider than 64 sees a first word
-  // with a ragged, sub-word tail — the lane_mask path end to end.
-  TraceEngine engine(present_spec(), LogicStyle::kStaticCmos, kTech);
-  CampaignOptions options;
-  options.num_traces = 65;
-  options.key = {0x7};
-  options.seed = 0x1AB5;
-  options.lane_width = 64;
-  const TraceSet reference = engine.run(options);
-  for (std::size_t width : runtime_lane_widths()) {
-    options.lane_width = width;
-    const TraceSet traces = engine.run(options);
-    ASSERT_EQ(traces.size(), reference.size());
-    for (std::size_t t = 0; t < reference.size(); ++t) {
-      ASSERT_EQ(traces.samples[t], reference.samples[t])
-          << "width " << width << " trace " << t;
-    }
-  }
-}
-
-TEST(LaneWidthTest, UnsupportedLaneWidthThrows) {
-  TraceEngine engine(present_spec(), LogicStyle::kStaticCmos, kTech);
-  CampaignOptions options;
-  options.num_traces = 128;
-  options.key = {0x0};
-  options.lane_width = 96;
-  EXPECT_THROW(engine.run(options), InvalidArgument);
-  options.lane_width = 1024;
-  EXPECT_THROW(engine.run(options), InvalidArgument);
-  // A width this binary carries but the CPU (or the active dispatch tier)
-  // does not offer must throw, not crash: pin the tier to portable and ask
-  // for an AVX2 word.
-#if SABLE_HAVE_WORD256
-  {
-    ScopedDispatchTierCap cap(DispatchTier::kPortable);
-    options.lane_width = 256;
-    EXPECT_THROW(engine.run(options), InvalidArgument);
-    EXPECT_EQ(campaign_lane_width(CampaignOptions{}), 128u);
-  }
-#endif
-  for (std::size_t width : {std::size_t{256}, std::size_t{512}}) {
-    const auto widths = runtime_lane_widths();
-    if (std::find(widths.begin(), widths.end(), width) == widths.end()) {
-      options.lane_width = width;
-      EXPECT_THROW(engine.run(options), InvalidArgument);
-    }
-  }
-  // Default (lane_width = 0) resolves to the widest the machine offers.
-  EXPECT_EQ(campaign_lane_width(CampaignOptions{}), max_runtime_lane_width());
-}
-
-// ---- persistent worker pool -----------------------------------------------
-
-// Workers are cloned once per engine and reused across campaigns; a stale
-// worker (CMOS history from an earlier campaign) must never leak into the
-// next campaign's traces.
-TEST(LaneWidthTest, PersistentWorkerPoolReusesCleanWorkers) {
-  TraceEngine reused(present_spec(), LogicStyle::kStaticCmos, kTech);
-  CampaignOptions first;
-  first.num_traces = 500;
-  first.key = {0x3};
-  first.seed = 0xAAAA;
-  reused.run(first);  // leaves workers (with history) in the pool
-
-  CampaignOptions second = sharded_options();
-  const TraceSet pooled = reused.run(second);
-  TraceEngine fresh(present_spec(), LogicStyle::kStaticCmos, kTech);
-  const TraceSet reference = fresh.run(second);
-  ASSERT_EQ(pooled.size(), reference.size());
-  for (std::size_t t = 0; t < reference.size(); ++t) {
-    ASSERT_EQ(pooled.samples[t], reference.samples[t]) << t;
-  }
-
-  // Attack campaigns after trace campaigns share the same pool.
-  const AttackSelector selector{.model = PowerModel::kHammingWeight};
-  const AttackResult pooled_cpa =
-      reused.attack(second, CpaDistinguisher(present_spec(), selector));
-  const AttackResult fresh_cpa =
-      fresh.attack(second, CpaDistinguisher(present_spec(), selector));
-  ASSERT_EQ(pooled_cpa.score.size(), fresh_cpa.score.size());
-  for (std::size_t g = 0; g < fresh_cpa.score.size(); ++g) {
-    EXPECT_EQ(pooled_cpa.score[g], fresh_cpa.score[g]) << g;
-  }
-}
-
-// ---- sampled campaigns across styles --------------------------------------
-
-TEST(LaneWidthTest, SampledRowsSumToStreamedSamplesEveryStyle) {
-  for (LogicStyle style : all_styles()) {
-    TraceEngine engine(present_spec(), style, kTech);
-    const std::size_t width = engine.target().num_levels();
-    ASSERT_GT(width, 0u) << to_string(style);
-    CampaignOptions options;
-    options.num_traces = 320;
-    options.key = {0x9};
-    options.seed = 0xE4E4;
-    options.shard_size = 128;
-    std::vector<double> row_sums;
-    engine.stream_sampled(options, [&](const std::uint8_t*,
-                                       const double* rows, std::size_t n) {
-      for (std::size_t t = 0; t < n; ++t) {
-        double sum = 0.0;
-        for (std::size_t l = 0; l < width; ++l) sum += rows[t * width + l];
-        row_sums.push_back(sum);
-      }
-    });
-    std::vector<double> samples;
-    engine.stream(options, [&](const std::uint8_t*, const double* s,
-                               std::size_t n) {
-      samples.insert(samples.end(), s, s + n);
-    });
-    ASSERT_EQ(row_sums.size(), samples.size());
-    for (std::size_t t = 0; t < samples.size(); ++t) {
-      EXPECT_NEAR(row_sums[t], samples[t],
-                  1e-12 * std::fabs(samples[t]) + 1e-30)
-          << to_string(style) << " trace " << t;
     }
   }
 }

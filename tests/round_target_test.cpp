@@ -1,4 +1,4 @@
-// Width-generic round targets: N S-boxes side by side with summed power.
+// Round targets and kernels: N S-boxes side by side with summed power.
 //
 // Under test: the packed-state layout (nibble packing for 4-bit S-boxes,
 // heterogeneous widths), per-instance functional correctness, summed
@@ -18,6 +18,7 @@
 #include "dpa/mtd.hpp"
 #include "engine/trace_engine.hpp"
 #include "lane_reference.hpp"
+#include "retained_campaign.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -85,17 +86,17 @@ TEST(RoundSpecTest, PackedStateLayout) {
   }
 }
 
-TEST(RoundTargetTest, EveryInstanceComputesItsReferenceSbox) {
+TEST(RoundKernelTest, EveryInstanceComputesItsReferenceSbox) {
   // Heterogeneous round: each instance's synthesized circuit must realize
   // its own S-box table, independent of the neighbours.
   RoundSpec round;
   round.sboxes = {present_spec(), des1_spec(), present_spec()};
   round.style = LogicStyle::kSablFullyConnected;
-  RoundTarget target(round, kTech);
+  RoundKernel kernel(round, kTech);
   for (std::size_t i = 0; i < round.num_sboxes(); ++i) {
     const SboxSpec& spec = round.sboxes[i];
     for (std::uint64_t x = 0; x < (std::uint64_t{1} << spec.in_bits); ++x) {
-      EXPECT_EQ(evaluate_circuit(target.circuit(i), x),
+      EXPECT_EQ(evaluate_circuit(kernel.circuit(i), x),
                 spec.apply(static_cast<std::uint8_t>(x)))
           << "instance " << i << " input " << x;
     }
@@ -106,21 +107,21 @@ TEST(RoundTargetTest, EveryInstanceComputesItsReferenceSbox) {
   round.set_sub_word(pt.data(), 0, 0x9);
   round.set_sub_word(pt.data(), 1, 0x11);
   round.set_sub_word(pt.data(), 2, 0x5);
-  EXPECT_EQ(target.reference(0, pt.data(), key.data()),
+  EXPECT_EQ(kernel.reference(0, pt.data(), key.data()),
             present_sbox(0x9 ^ 0x3));
-  EXPECT_EQ(target.reference(1, pt.data(), key.data()),
+  EXPECT_EQ(kernel.reference(1, pt.data(), key.data()),
             des_sbox1(0x11 ^ 0x2A));
-  EXPECT_EQ(target.reference(2, pt.data(), key.data()),
+  EXPECT_EQ(kernel.reference(2, pt.data(), key.data()),
             present_sbox(0x5 ^ 0xC));
 }
 
-TEST(RoundTargetTest, SummedPowerEqualsSumOfSingleTargets) {
+TEST(RoundKernelTest, SummedPowerEqualsSumOfSingleTargets) {
   // History-free style: the round's power sample must equal the sum of
   // independent single-S-box targets fed the matching sub-words.
   RoundSpec round;
   round.sboxes = {present_spec(), des1_spec()};
   round.style = LogicStyle::kSablFullyConnected;
-  RoundTarget target(round, kTech);
+  RoundKernel kernel(round, kTech);
   SboxTarget a(present_spec(), LogicStyle::kSablFullyConnected, kTech);
   SboxTarget b(des1_spec(), LogicStyle::kSablFullyConnected, kTech);
   const std::vector<std::uint8_t> key = round.pack_subkeys({0x6, 0x19});
@@ -132,7 +133,7 @@ TEST(RoundTargetTest, SummedPowerEqualsSumOfSingleTargets) {
     const auto pb = static_cast<std::uint8_t>(pts.below(64));
     round.set_sub_word(state.data(), 0, pa);
     round.set_sub_word(state.data(), 1, pb);
-    const double summed = target.trace(state.data(), key.data(), 0.0,
+    const double summed = kernel.trace(state.data(), key.data(), 0.0,
                                        no_noise);
     const double expected = a.trace(pa, 0x6, 0.0, no_noise) +
                             b.trace(pb, 0x19, 0.0, no_noise);
@@ -146,7 +147,7 @@ std::vector<LogicStyle> all_styles() {
           LogicStyle::kWddlBalanced,       LogicStyle::kWddlMismatched};
 }
 
-TEST(RoundTargetTest, BatchedRoundTracesMatchScalar) {
+TEST(RoundGatherTest, BatchedRoundTracesMatchScalar) {
   // The batch path gathers from energy tables; lane L of it must track a
   // scalar kernel target fed every 64th wide plaintext (CMOS carries
   // per-lane history). Two consecutive ragged calls without a reset: the
@@ -162,7 +163,7 @@ TEST(RoundTargetTest, BatchedRoundTracesMatchScalar) {
       // Both batch paths advance the lane history, so each gets a target.
       RoundTarget batch(round, kTech);
       RoundTarget batch_sampled = batch.clone();
-      LaneReference reference(batch);
+      LaneReference reference(batch.kernel());
       const std::size_t stride = round.state_bytes();
       const std::size_t width = batch.num_levels();
       std::vector<std::uint8_t> key(stride, 0xA5);
@@ -195,7 +196,7 @@ TEST(RoundTargetTest, BatchedRoundTracesMatchScalar) {
       batch.reset_state();
       batch.trace_batch(first_pts.data(), count, key.data(), 0.0, no_noise,
                         out.data());
-      LaneReference fresh(batch);
+      LaneReference fresh(batch.kernel());
       const std::vector<double> expected =
           fresh.scalar(first_pts.data(), count, key.data());
       for (std::size_t t = 0; t < count; ++t) {
@@ -221,7 +222,7 @@ TEST(RoundEngineTest, ConcurrentFirstUseBuildsEachTableOnce) {
     options.shard_size = 128;
     options.num_threads = 4;
     TraceEngine threaded(round, kTech);
-    const TraceSet traces = threaded.run(options);
+    const TraceSet traces = retained_campaign(threaded, options);
     std::vector<double> rows;
     threaded.stream_sampled(options, [&](const std::uint8_t*,
                                          const double* r, std::size_t n) {
@@ -229,7 +230,7 @@ TEST(RoundEngineTest, ConcurrentFirstUseBuildsEachTableOnce) {
     });
     options.num_threads = 1;
     TraceEngine serial(round, kTech);
-    const TraceSet expected = serial.run(options);
+    const TraceSet expected = retained_campaign(serial, options);
     std::vector<double> expected_rows;
     serial.stream_sampled(options, [&](const std::uint8_t*, const double* r,
                                        std::size_t n) {
@@ -342,7 +343,7 @@ TEST(RoundEngineTest, MultiCpaCampaignMatchesRetainedMultisampleAttack) {
   EXPECT_EQ(streamed.best_sample, batch.best_sample);
 }
 
-TEST(RoundEngineTest, RunRetainsWideStatesAndStreamMatches) {
+TEST(RoundEngineTest, StreamCarriesWideStates) {
   const RoundSpec round = present_round(5, LogicStyle::kSablFullyConnected);
   TraceEngine engine(round, kTech);
   CampaignOptions options;
@@ -351,29 +352,21 @@ TEST(RoundEngineTest, RunRetainsWideStatesAndStreamMatches) {
   options.noise_sigma = 1e-16;
   options.seed = 0xF00D;
   options.shard_size = 128;
-  const TraceSet traces = engine.run(options);
-  EXPECT_EQ(traces.pt_width, round.state_bytes());
+  const TraceSet traces = retained_campaign(engine, options);
   EXPECT_EQ(traces.plaintexts.size(),
             options.num_traces * round.state_bytes());
   ASSERT_EQ(traces.size(), options.num_traces);
 
+  // Another engine over the same round streams the same campaign.
   TraceEngine engine2(round, kTech);
-  TraceSet collected;
-  collected.pt_width = round.state_bytes();
-  collected.reserve(options.num_traces);
-  engine2.stream(options,
-                 [&](const std::uint8_t* pts, const double* samples,
-                     std::size_t n) { collected.add_batch(pts, samples, n); });
-  ASSERT_EQ(collected.size(), traces.size());
-  EXPECT_EQ(collected.plaintexts, traces.plaintexts);
-  for (std::size_t i = 0; i < traces.size(); ++i) {
-    EXPECT_EQ(collected.samples[i], traces.samples[i]) << i;
-  }
+  const TraceSet again = retained_campaign(engine2, options);
+  EXPECT_EQ(again.plaintexts, traces.plaintexts);
+  EXPECT_EQ(again.samples, traces.samples);
 
   // The campaign key must match the round's packed width.
   CampaignOptions bad = options;
   bad.key = {0x1};
-  EXPECT_THROW(engine.run(bad), InvalidArgument);
+  EXPECT_THROW(retained_campaign(engine, bad), InvalidArgument);
 }
 
 // Time-resolved campaigns cover the baseline style too: cycle_sampled on

@@ -8,6 +8,7 @@
 #include <cmath>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include "cell/builder.hpp"
 #include "cell/circuit_sim.hpp"
@@ -23,6 +24,7 @@
 #include "engine/trace_engine.hpp"
 #include "expr/random_expr.hpp"
 #include "expr/truth_table.hpp"
+#include "retained_campaign.hpp"
 #include "switchsim/energy.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -395,7 +397,7 @@ TEST(TraceEngineTest, CampaignMatchesScalarTarget) {
     options.noise_sigma = 2e-16;
     options.seed = 0xFEED;
     options.shard_size = 128;  // several shards, one partial tail shard
-    const TraceSet traces = engine.run(options);
+    const TraceSet traces = retained_campaign(engine, options);
     ASSERT_EQ(traces.size(), options.num_traces);
 
     // The stream is defined shard by shard: shard s draws plaintexts and
@@ -427,7 +429,7 @@ TEST(TraceEngineTest, CampaignMatchesScalarTarget) {
       TraceEngine engine2(present_spec(), style, kTech);
       CampaignOptions parallel = options;
       parallel.num_threads = threads;
-      const TraceSet traces2 = engine2.run(parallel);
+      const TraceSet traces2 = retained_campaign(engine2, parallel);
       ASSERT_EQ(traces2.size(), traces.size());
       for (std::size_t i = 0; i < traces.size(); ++i) {
         EXPECT_EQ(traces2.plaintexts[i], traces.plaintexts[i]);
@@ -446,7 +448,7 @@ TEST(TraceEngineTest, CmosCampaignMatchesPerLaneScalarHistory) {
   options.key = {0x3};
   options.noise_sigma = 0.0;
   options.seed = 0xCAFE;
-  const TraceSet traces = engine.run(options);
+  const TraceSet traces = retained_campaign(engine, options);
 
   // 256 traces fit one default-size shard, so the whole campaign draws
   // from shard 0's plaintext stream.
@@ -477,7 +479,7 @@ TEST(TraceEngineTest, StreamingCampaignEqualsRetainedCampaign) {
   // retained two-pass Pearson attack, so the scores agree to the
   // pipeline's documented <= 1e-12 budget rather than bit-exactly.
   options.shard_size = 4096;
-  const TraceSet traces = engine.run(options);
+  const TraceSet traces = retained_campaign(engine, options);
   const std::vector<double> batch = reference::cpa_scores(
       traces, present_spec(), PowerModel::kHammingWeight);
 
@@ -516,11 +518,11 @@ TEST(TraceEngineTest, RepeatedCampaignsOnOneEngineAreReproducible) {
   options.key = {0x9};
   options.noise_sigma = 0.0;
   options.seed = 0xD1CE;
-  const TraceSet first = engine.run(options);
+  const TraceSet first = retained_campaign(engine, options);
   CampaignOptions other = options;
   other.seed = 0xBEEF;  // interleave a campaign with a different stream
-  engine.run(other);
-  const TraceSet second = engine.run(options);
+  retained_campaign(engine, other);
+  const TraceSet second = retained_campaign(engine, options);
   ASSERT_EQ(first.size(), second.size());
   for (std::size_t i = 0; i < first.size(); ++i) {
     EXPECT_EQ(first.plaintexts[i], second.plaintexts[i]);
@@ -543,7 +545,7 @@ TEST(TraceEngineTest, NonFiniteNoiseSigmaThrowsAtEveryEntryPoint) {
     options.num_traces = 200;
     options.key = {0x3};
     options.noise_sigma = sigma;
-    EXPECT_THROW(engine.run(options), InvalidArgument);
+    EXPECT_THROW(retained_campaign(engine, options), InvalidArgument);
     EXPECT_THROW(engine.stream(options, sink), InvalidArgument);
     EXPECT_THROW(engine.stream_sampled(options, sink), InvalidArgument);
     CpaDistinguisher cpa(present_spec(), selector);
@@ -554,7 +556,7 @@ TEST(TraceEngineTest, NonFiniteNoiseSigmaThrowsAtEveryEntryPoint) {
   negative.num_traces = 200;
   negative.key = {0x3};
   negative.noise_sigma = -1e-16;
-  EXPECT_EQ(engine.run(negative).size(), 200u);
+  EXPECT_EQ(retained_campaign(engine, negative).size(), 200u);
 }
 
 TEST(TraceEngineTest, ConstantPowerStylesStayFlatAtScale) {
@@ -570,6 +572,74 @@ TEST(TraceEngineTest, ConstantPowerStylesStayFlatAtScale) {
                                      AttackSelector{
                                          .model = PowerModel::kHammingWeight}));
   EXPECT_LT(result.score[result.best_guess], 0.1);
+}
+
+// Workers are cloned from the engine's target per campaign; a campaign
+// after others on the same engine (CMOS table-lane history included)
+// must match a fresh engine's, for trace and attack campaigns alike.
+TEST(TraceEngineTest, ReusedEngineMatchesFreshEngine) {
+  TraceEngine reused(present_spec(), LogicStyle::kStaticCmos, kTech);
+  CampaignOptions first;
+  first.num_traces = 500;
+  first.key = {0x3};
+  first.seed = 0xAAAA;
+  retained_campaign(reused, first);
+
+  CampaignOptions second;
+  second.num_traces = 1500;
+  second.key = {0xB};
+  second.noise_sigma = 2e-16;
+  second.seed = 0x5EED;
+  second.shard_size = 448;  // several shards, one partial tail
+  const TraceSet pooled = retained_campaign(reused, second);
+  TraceEngine fresh(present_spec(), LogicStyle::kStaticCmos, kTech);
+  const TraceSet reference = retained_campaign(fresh, second);
+  ASSERT_EQ(pooled.size(), reference.size());
+  for (std::size_t t = 0; t < reference.size(); ++t) {
+    ASSERT_EQ(pooled.samples[t], reference.samples[t]) << t;
+  }
+
+  const AttackSelector selector{.model = PowerModel::kHammingWeight};
+  const AttackResult pooled_cpa =
+      reused.attack(second, CpaDistinguisher(present_spec(), selector));
+  const AttackResult fresh_cpa =
+      fresh.attack(second, CpaDistinguisher(present_spec(), selector));
+  ASSERT_EQ(pooled_cpa.score.size(), fresh_cpa.score.size());
+  for (std::size_t g = 0; g < fresh_cpa.score.size(); ++g) {
+    EXPECT_EQ(pooled_cpa.score[g], fresh_cpa.score[g]) << g;
+  }
+}
+
+TEST(TraceEngineTest, SampledRowsSumToStreamedSamplesEveryStyle) {
+  for (LogicStyle style :
+       {LogicStyle::kStaticCmos, LogicStyle::kSablGenuine,
+        LogicStyle::kSablFullyConnected, LogicStyle::kSablEnhanced,
+        LogicStyle::kWddlBalanced, LogicStyle::kWddlMismatched}) {
+    TraceEngine engine(present_spec(), style, kTech);
+    const std::size_t width = engine.target().num_levels();
+    ASSERT_GT(width, 0u) << to_string(style);
+    CampaignOptions options;
+    options.num_traces = 320;
+    options.key = {0x9};
+    options.seed = 0xE4E4;
+    options.shard_size = 128;
+    std::vector<double> row_sums;
+    engine.stream_sampled(options, [&](const std::uint8_t*,
+                                       const double* rows, std::size_t n) {
+      for (std::size_t t = 0; t < n; ++t) {
+        double sum = 0.0;
+        for (std::size_t l = 0; l < width; ++l) sum += rows[t * width + l];
+        row_sums.push_back(sum);
+      }
+    });
+    const TraceSet traces = retained_campaign(engine, options);
+    ASSERT_EQ(row_sums.size(), traces.size());
+    for (std::size_t t = 0; t < traces.size(); ++t) {
+      EXPECT_NEAR(row_sums[t], traces.samples[t],
+                  1e-12 * std::fabs(traces.samples[t]) + 1e-30)
+          << to_string(style) << " trace " << t;
+    }
+  }
 }
 
 }  // namespace
